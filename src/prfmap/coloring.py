@@ -316,19 +316,8 @@ class Coloring:
     # -- colors -----------------------------------------------------------
 
     def color_at(self, q: Point2) -> int:
-        par = 0
-        a = self.anchor
-        for eid in self.edges:
-            s = self.segment_of(eid)
-            d1 = (q.x - a.x) * (s.a.y - a.y) - (q.y - a.y) * (s.a.x - a.x)
-            d2 = (q.x - a.x) * (s.b.y - a.y) - (q.y - a.y) * (s.b.x - a.x)
-            if (d1 < 0.0) == (d2 < 0.0):
-                continue
-            d3 = (s.b.x - s.a.x) * (a.y - s.a.y) - (s.b.y - s.a.y) * (a.x - s.a.x)
-            d4 = (s.b.x - s.a.x) * (q.y - s.a.y) - (s.b.y - s.a.y) * (q.x - s.a.x)
-            if (d3 < 0.0) != (d4 < 0.0):
-                par ^= 1
-        return self.anchor_color ^ par
+        segs = (self.segment_of(eid) for eid in self.edges)
+        return self.anchor_color ^ crossing_parity(self.anchor, q, segs)
 
     def colors_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized color query; same crossing rule as color_at."""

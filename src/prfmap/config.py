@@ -16,16 +16,11 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .baseline import BaselineParams
-from .moves import KIND_ORDER, MoveParams
+from .moves import INVERSE_KIND, KIND_ORDER, MoveParams
 from .prior import PriorParams
 from .sensors import LaserParams, SonarParams
 
 ENV_CONFIG_PATH = "PRFMAP_CONFIG"
-
-_INVERSE_PAIRS = [("triangle_birth", "triangle_death"),
-                  ("wedge_birth", "wedge_death"),
-                  ("chord_birth", "chord_death"),
-                  ("kink_birth", "kink_death")]
 
 
 @dataclass
@@ -131,9 +126,9 @@ class RunConfig:
         total = sum(weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"move weights must sum to 1, got {total!r}")
-        for birth, death in _INVERSE_PAIRS:
-            if abs(weights[birth] - weights[death]) > 1e-12:
-                raise ValueError(f"weights for {birth} and {death} must be "
+        for kind, inverse in INVERSE_KIND.items():
+            if abs(weights[kind] - weights[inverse]) > 1e-12:
+                raise ValueError(f"weights for {kind} and {inverse} must be "
                                  "equal (inverse move pair)")
         if self.sim_sensors not in ("auto", "laser", "sonar", "both"):
             raise ValueError(f"sim_sensors must be auto|laser|sonar|both, "
@@ -195,12 +190,12 @@ def config_keys() -> list[str]:
     return [f.name for f in fields(RunConfig)]
 
 
-def config_types() -> dict[str, type]:
-    return dict(_TYPES)
-
-
 def convert_value(key: str, raw: str, where: str = "") -> object:
-    """Parse a raw string for a known key; raises ValueError on bad input."""
+    """Parse a raw string for a known key.
+
+    Raises ValueError, prefixed with ``where``, on bad input; floats must be
+    finite.
+    """
     prefix = f"{where}: " if where else ""
     if key not in _TYPES:
         raise ValueError(f"{prefix}unknown option {key!r}")
@@ -217,11 +212,15 @@ def convert_value(key: str, raw: str, where: str = "") -> object:
         if target is int:
             return int(raw)
         if target is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         return raw
     except ValueError as exc:
+        expected = "finite float" if target is float else target.__name__
         raise ValueError(f"{prefix}bad value {raw!r} for {key} "
-                         f"(expected {target.__name__})") from exc
+                         f"(expected {expected})") from exc
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 EPS_GEOM = 1e-9
 EPS_ANGLE = 1e-6
 # Visible faces narrower than this (radians) are treated as nonexistent.
@@ -110,6 +112,14 @@ class GridSpec:
         return [(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)]
 
 
+def cell_centers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Meshgrid arrays (ny, nx) of cell-center coordinates."""
+    w = grid.window
+    xs = w.xmin + (np.arange(grid.nx) + 0.5) * grid.cell_size
+    ys = w.ymin + (np.arange(grid.ny) + 0.5) * grid.cell_size
+    return np.meshgrid(xs, ys)
+
+
 def cross(ox: float, oy: float, ax: float, ay: float) -> float:
     return ox * ay - oy * ax
 
@@ -202,6 +212,19 @@ def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     return math.hypot(a.x + t * ex - p.x, a.y + t * ey - p.y)
 
 
+def point_segment_distance_batch(px: np.ndarray, py: np.ndarray,
+                                 seg: Segment) -> np.ndarray:
+    """:func:`point_segment_distance` from each point (px[i], py[i]) to seg."""
+    ax, ay = seg.a
+    bx, by = seg.b
+    ex, ey = bx - ax, by - ay
+    L2 = ex * ex + ey * ey
+    if L2 == 0.0:
+        return np.hypot(px - ax, py - ay)
+    t = np.clip(((px - ax) * ex + (py - ay) * ey) / L2, 0.0, 1.0)
+    return np.hypot(px - (ax + t * ex), py - (ay + t * ey))
+
+
 def segment_min_distance(s: Segment, t: Segment) -> float:
     if segments_properly_intersect(s, t):
         return 0.0
@@ -219,15 +242,6 @@ def sin_angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
         return 0.0
     s = abs(ux * vy - uy * vx) / (nu * nv)
     return min(1.0, s)
-
-
-def cos_angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
-    nu = math.hypot(ux, uy)
-    nv = math.hypot(vx, vy)
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    c = (ux * vx + uy * vy) / (nu * nv)
-    return max(-1.0, min(1.0, c))
 
 
 def clip_segment_to_rect(seg: Segment, rect: Rect):

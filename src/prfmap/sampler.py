@@ -17,7 +17,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .coloring import ApplyResult, Coloring, changed_mask
-from .geometry import GridSpec, grid_trace_segment
+from .geometry import GridSpec, cell_centers, grid_trace_segment
 from .moves import MoveParams, Proposal, propose
 from .prior import PriorParams, energy, log_prior_from_stats, log_reference_mass
 
@@ -198,7 +198,6 @@ class PointColorTracker:
     """Colors of a fixed point list, updated across accepted moves."""
 
     def __init__(self, col: Coloring, xs: np.ndarray, ys: np.ndarray):
-        self.col = col
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.colors = col.colors_at(self.xs, self.ys)
@@ -215,20 +214,15 @@ class PointColorTracker:
             idx = np.flatnonzero(sel)[flip]
             self.colors[idx] ^= 1
 
-    def resync(self) -> None:
-        self.colors = self.col.colors_at(self.xs, self.ys)
-
 
 class RasterTracker:
     """Color raster at grid cell centers, updated across accepted moves."""
 
     def __init__(self, col: Coloring, grid: GridSpec):
-        self.col = col
         self.grid = grid
-        w = grid.window
-        self.xs = w.xmin + (np.arange(grid.nx) + 0.5) * grid.cell_size
-        self.ys = w.ymin + (np.arange(grid.ny) + 0.5) * grid.cell_size
-        px, py = np.meshgrid(self.xs, self.ys)  # shape (ny, nx)
+        px, py = cell_centers(grid)  # shape (ny, nx)
+        self.xs = px[0]
+        self.ys = py[:, 0]
         self._px = px
         self._py = py
         self.colors = col.colors_at(px.ravel(), py.ravel()).reshape(grid.ny, grid.nx)
@@ -249,10 +243,6 @@ class RasterTracker:
             block = self.colors[iy0:iy1, ix0:ix1]
             block ^= flip.reshape(block.shape).astype(np.int8)
 
-    def resync(self) -> None:
-        self.colors = self.col.colors_at(
-            self._px.ravel(), self._py.ravel()).reshape(self.grid.ny, self.grid.nx)
-
 
 def all_white_cells(col: Coloring, grid: GridSpec,
                     center_colors: np.ndarray | None = None) -> np.ndarray:
@@ -262,10 +252,7 @@ def all_white_cells(col: Coloring, grid: GridSpec,
     decides; cells crossed by an edge are conservatively not all-white.
     """
     if center_colors is None:
-        w = grid.window
-        xs = w.xmin + (np.arange(grid.nx) + 0.5) * grid.cell_size
-        ys = w.ymin + (np.arange(grid.ny) + 0.5) * grid.cell_size
-        px, py = np.meshgrid(xs, ys)
+        px, py = cell_centers(grid)
         center_colors = col.colors_at(px.ravel(), py.ravel()).reshape(grid.ny, grid.nx)
     out = center_colors == 0
     for eid in col.edges:

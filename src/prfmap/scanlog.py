@@ -12,12 +12,14 @@ Format, one record per line, whitespace separated:
 is 1 when the reading is a max-range miss, else 0.  Per-sensor maximum
 ranges ride in ``# laser_max_range`` / ``# sonar_max_range`` headers so
 readings round-trip without repeating the limit on every line.
-Unrecognized ``#`` lines are comments; malformed records raise with their
-line number.
+Unrecognized ``#`` lines are comments.  Malformed records, non-finite
+numbers and readings the observation records reject raise with their line
+number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .geometry import Rect
@@ -74,9 +76,20 @@ def _parse_flag(tok: str, lineno: int) -> bool:
 
 def _floats(toks: list[str], lineno: int) -> list[float]:
     try:
-        return [float(t) for t in toks]
+        vals = [float(t) for t in toks]
     except ValueError as exc:
         raise ValueError(f"line {lineno}: bad number in {toks!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"line {lineno}: non-finite number in {toks!r}")
+    return vals
+
+
+def _record(cls, lineno: int, *args):
+    """Construct an observation record, locating its ValueError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
 
 
 def parse_scanlog(text: str) -> ScanLog:
@@ -104,8 +117,9 @@ def parse_scanlog(text: str) -> ScanLog:
                 raise ValueError(f"line {lineno}: LASER record before a "
                                  "'# laser_max_range' header")
             t, x, y, h, b, r = _floats(toks[1:7], lineno)
-            log.lasers.append(LaserObs(x, y, h, b, r, log.laser_max_range,
-                                       _parse_flag(toks[7], lineno), t))
+            log.lasers.append(_record(LaserObs, lineno, x, y, h, b, r,
+                                      log.laser_max_range,
+                                      _parse_flag(toks[7], lineno), t))
         elif kind == "SONAR":
             if len(toks) != 9:
                 raise ValueError(f"line {lineno}: SONAR needs 8 fields, "
@@ -114,14 +128,16 @@ def parse_scanlog(text: str) -> ScanLog:
                 raise ValueError(f"line {lineno}: SONAR record before a "
                                  "'# sonar_max_range' header")
             t, x, y, h, b, ha, r = _floats(toks[1:8], lineno)
-            log.sonars.append(SonarObs(x, y, h, b, ha, r, log.sonar_max_range,
-                                       _parse_flag(toks[8], lineno), t))
+            log.sonars.append(_record(SonarObs, lineno, x, y, h, b, ha, r,
+                                      log.sonar_max_range,
+                                      _parse_flag(toks[8], lineno), t))
         elif kind == "POINT":
             if len(toks) != 7:
                 raise ValueError(f"line {lineno}: POINT needs 6 fields, "
                                  f"got {len(toks) - 1}")
             x, y, v, mb, mw, s = _floats(toks[1:7], lineno)
-            log.points.append(PointColorObs(x, y, v, mb, mw, s))
+            log.points.append(_record(PointColorObs, lineno,
+                                      x, y, v, mb, mw, s))
         else:
             raise ValueError(f"line {lineno}: unknown record type {kind!r}")
     return log

@@ -17,11 +17,12 @@ Any observation model reports -inf when its sensor sits in occupied
 (black) space.
 
 :class:`ObservationCache` binds a set of laser and sonar observations to a
-chain: it keeps every observation's log likelihood cached, indexes each
-observation in the grid cells overlapping its current *sensitivity extent*
-(beam up to the impact point; cone up to the farthest contact), and on each
-proposed edit recomputes only the observations whose extent the edit
-touches or whose sensor position changed color.
+chain: it keeps every observation's log likelihood cached together with its
+current *sensitivity extent* (beam up to the impact point; cone up to the
+farthest contact), and on each proposed edit recomputes only the
+observations whose extent the edit touches or whose sensor position changed
+color.  Beams are tested against every changed segment at once; only cones
+are indexed in the grid cells their extent overlaps.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from .geometry import (
     Segment,
     VisibleFeature,
     grid_trace_segment,
+    point_segment_distance_batch,
     ray_rect_exit,
     unit_vector,
     visibility_sweep,
 )
-from .grid_index import cone_cells
+from .grid_index import cone_cells, cone_cells_with_distance
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -298,12 +300,6 @@ def sonar_log_likelihood(o: SonarObs, col: Coloring, p: SonarParams) -> float:
     return _sonar_density_log(o.range, o.is_max_range, triples, o.max_range, p)
 
 
-def point_log_likelihood(o: PointColorObs, col: Coloring) -> float:
-    mu = o.mu_black if col.color_at(Point2(o.x, o.y)) == BLACK else o.mu_white
-    z = (o.value - mu) / o.sigma
-    return -0.5 * z * z
-
-
 # ---------------------------------------------------------------------------
 # sensitivity extents
 
@@ -312,49 +308,6 @@ def point_log_likelihood(o: PointColorObs, col: Coloring) -> float:
 # recompute.  It only needs to absorb floating-point slack (an impact point
 # reconstructed from a ray parameter sits within ~1e-12 of its edge).
 _TOUCH_EPS = 1e-9
-
-
-def _sector_cells_with_distance(grid, apex: Point2, heading: float,
-                                half_angle: float, radius: float):
-    """(cell, apex distance) pairs for cells conservatively meeting a sector.
-
-    Same test as :func:`cone_cells` but also reporting each cell's nearest
-    distance to the apex, so truncating the sector to a smaller radius is a
-    cheap filter instead of a rescan.
-    """
-    ux_lo, uy_lo = unit_vector(heading - half_angle)
-    ux_hi, uy_hi = unit_vector(heading + half_angle)
-    out = []
-    for (ix, iy) in grid.cells_in_bbox(apex.x - radius, apex.y - radius,
-                                       apex.x + radius, apex.y + radius):
-        r = grid.cell_rect(ix, iy)
-        nx = min(max(apex.x, r.xmin), r.xmax)
-        ny = min(max(apex.y, r.ymin), r.ymax)
-        d2 = (nx - apex.x) ** 2 + (ny - apex.y) ** 2
-        if d2 > radius * radius:
-            continue
-        corners = ((r.xmin, r.ymin), (r.xmin, r.ymax), (r.xmax, r.ymin), (r.xmax, r.ymax))
-        if all(ux_lo * (cy - apex.y) - uy_lo * (cx - apex.x) < 0.0 for cx, cy in corners):
-            continue
-        if all(ux_hi * (cy - apex.y) - uy_hi * (cx - apex.x) > 0.0 for cx, cy in corners):
-            continue
-        out.append(((ix, iy), math.sqrt(d2)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vectorized touch tests for pruning candidate recomputes
-
-
-def _point_seg_dist_batch(px: np.ndarray, py: np.ndarray, seg: Segment) -> np.ndarray:
-    ax, ay = seg.a
-    bx, by = seg.b
-    ex, ey = bx - ax, by - ay
-    L2 = ex * ex + ey * ey
-    if L2 == 0.0:
-        return np.hypot(px - ax, py - ay)
-    t = np.clip(((px - ax) * ex + (py - ay) * ey) / L2, 0.0, 1.0)
-    return np.hypot(px - (ax + t * ex), py - (ay + t * ey))
 
 
 def _seg_batch_min_dist(ax, ay, bx, by, seg: Segment) -> np.ndarray:
@@ -373,8 +326,8 @@ def _seg_batch_min_dist(ax, ay, bx, by, seg: Segment) -> np.ndarray:
         & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
 
     d = np.minimum(
-        np.minimum(_point_seg_dist_batch(ax, ay, seg),
-                   _point_seg_dist_batch(bx, by, seg)),
+        np.minimum(point_segment_distance_batch(ax, ay, seg),
+                   point_segment_distance_batch(bx, by, seg)),
         np.minimum(_endpoint_to_batch_dist(sax, say, ax, ay, bx, by),
                    _endpoint_to_batch_dist(sbx, sby, ax, ay, bx, by)))
     d[proper] = 0.0
@@ -394,14 +347,17 @@ def _endpoint_to_batch_dist(px, py, ax, ay, bx, by) -> np.ndarray:
 
 
 class ObservationCache:
-    """Caches per-observation log likelihoods with dynamic grid indexing.
+    """Caches per-observation log likelihoods and sensitivity extents.
 
     Implements the chain's Likelihood protocol: ``delta_for_edit`` stages
-    recomputes for the observations an applied edit could affect — those
-    indexed in grid cells the changed segments touch, plus those whose
-    sensor position changed color — and ``commit``/``rollback`` finalize
-    or discard the staging.  The construction-time coloring must give every
-    sensor a free (white) position.
+    recomputes for the observations an applied edit could affect — beams
+    whose ``[sensor, impact]`` segment lies within ``_TOUCH_EPS`` of a
+    changed segment, cones indexed in grid cells the changed segments cross
+    whose truncated wedge a changed segment reaches, plus every observation
+    whose sensor position changed color — and ``commit``/``rollback``
+    finalize or discard the staging.  Only cones are cell-indexed.  The
+    construction-time coloring must give every sensor a free (white)
+    position.
     """
 
     def __init__(self, col: Coloring, lasers: list[LaserObs],
@@ -443,9 +399,10 @@ class ObservationCache:
             c = sonar_cone(o)
             self.ulox[i], self.uloy[i] = unit_vector(c.heading - c.half_angle)
             self.uhix[i], self.uhiy[i] = unit_vector(c.heading + c.half_angle)
-            self._full_cells[i] = _sector_cells_with_distance(
+            self._full_cells[i] = cone_cells_with_distance(
                 self.grid, c.apex, c.heading, c.half_angle, c.max_range)
 
+        # cell -> cones whose truncated sector meets it, and the inverse
         self._cells: dict[tuple[int, int], set[int]] = {}
         self._obs_cells: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
@@ -457,7 +414,6 @@ class ObservationCache:
                 raise ValueError(f"observation {i} starts with zero likelihood")
             self.ll[i] = ll
             self._set_extent(i, ext)
-            self._reindex(i, self._extent_cells(i))
         self._total = float(self.ll.sum())
         self._staged: list[tuple[int, float, float]] | None = None
         self._staged_flips: np.ndarray | None = None
@@ -491,7 +447,6 @@ class ObservationCache:
         for i, ll, ext in self._staged:
             self.ll[i] = ll
             self._set_extent(i, ext)
-            self._reindex(i, self._extent_cells(i))
         if len(self._staged_flips):
             self.sensor_black[self._staged_flips] ^= True
         self._total += self._staged_delta
@@ -527,32 +482,28 @@ class ObservationCache:
         return cand[chg]
 
     def _touched_observations(self, delta_segs) -> np.ndarray:
-        cand: set[int] = set()
-        for seg in delta_segs:
-            for cell in grid_trace_segment(seg, self.grid):
-                got = self._cells.get(cell)
-                if got:
-                    cand |= got
-        if not cand:
-            return np.empty(0, dtype=np.intp)
-        idx = np.fromiter(cand, dtype=np.intp, count=len(cand))
-        keep = np.zeros(len(idx), dtype=bool)
-        laser_sel = idx < self.n_laser
-        li = idx[laser_sel]
-        if len(li):
-            hit = np.zeros(len(li), dtype=bool)
+        nl = self.n_laser
+        hit = np.zeros(len(self.obs), dtype=bool)
+        if nl:
+            beams = hit[:nl]
             for seg in delta_segs:
-                d = _seg_batch_min_dist(self.sx[li], self.sy[li],
-                                        self.impact_x[li], self.impact_y[li], seg)
-                hit |= d <= _TOUCH_EPS
-            keep[laser_sel] = hit
-        si = idx[~laser_sel]
-        if len(si):
-            hit = np.zeros(len(si), dtype=bool)
+                d = _seg_batch_min_dist(self.sx[:nl], self.sy[:nl],
+                                        self.impact_x[:nl], self.impact_y[:nl], seg)
+                beams |= d <= _TOUCH_EPS
+        cand: set[int] = set()
+        if self._cells:
+            for seg in delta_segs:
+                for cell in grid_trace_segment(seg, self.grid):
+                    got = self._cells.get(cell)
+                    if got:
+                        cand |= got
+        if cand:
+            si = np.fromiter(cand, dtype=np.intp, count=len(cand))
+            cones = np.zeros(len(si), dtype=bool)
             ax, ay = self.sx[si], self.sy[si]
             rad = self.trunc_radius[si] + _TOUCH_EPS
             for seg in delta_segs:
-                d = _point_seg_dist_batch(ax, ay, seg)
+                d = point_segment_distance_batch(ax, ay, seg)
                 near = d <= rad
                 # clearly outside either bounding half-plane of the wedge
                 pax, pay = seg.a.x - ax, seg.a.y - ay
@@ -562,9 +513,9 @@ class ObservationCache:
                 hi_a = self.uhix[si] * pay - self.uhiy[si] * pax
                 hi_b = self.uhix[si] * pby - self.uhiy[si] * pbx
                 outside = ((lo_a < 0) & (lo_b < 0)) | ((hi_a > 0) & (hi_b > 0))
-                hit |= near & ~outside
-            keep[~laser_sel] = hit
-        return np.sort(idx[keep])
+                cones |= near & ~outside
+            hit[si] = cones
+        return np.flatnonzero(hit)
 
     def _evaluate(self, i: int, col: Coloring, color_flipped: bool):
         """(log likelihood, new extent scalar) for observation i on col."""
@@ -599,14 +550,7 @@ class ObservationCache:
             self.impact_y[i] = self.sy[i] + ext * self.diry[i]
         else:
             self.trunc_radius[i] = ext
-
-    def _extent_cells(self, i: int) -> list[tuple[int, int]]:
-        if i < self.n_laser:
-            seg = Segment(Point2(self.sx[i], self.sy[i]),
-                          Point2(self.impact_x[i], self.impact_y[i]))
-            return grid_trace_segment(seg, self.grid)
-        r = self.trunc_radius[i]
-        return [c for c, dmin in self._full_cells[i] if dmin <= r]
+            self._reindex(i, [c for c, dmin in self._full_cells[i] if dmin <= ext])
 
     def _reindex(self, i: int, cells: list[tuple[int, int]]) -> None:
         for c in self._obs_cells[i]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coloring import BLACK, Coloring
-from .geometry import Point2, Rect
+from .geometry import Point2, Rect, cell_centers, point_segment_distance_batch
 from .sensors import (
     LaserObs,
     LaserParams,
@@ -331,14 +331,6 @@ def simulate_point_grid(col: Coloring, nx: int, ny: int, mu_black: float,
 # metrics
 
 
-def cell_centers(grid) -> tuple[np.ndarray, np.ndarray]:
-    """Meshgrid arrays (ny, nx) of cell-center coordinates."""
-    w = grid.window
-    xs = w.xmin + (np.arange(grid.nx) + 0.5) * grid.cell_size
-    ys = w.ymin + (np.arange(grid.ny) + 0.5) * grid.cell_size
-    return np.meshgrid(xs, ys)
-
-
 def truth_raster(col: Coloring, grid) -> np.ndarray:
     """Boolean (ny, nx) array: cell center is black."""
     cx, cy = cell_centers(grid)
@@ -366,21 +358,10 @@ def near_edge_mask(col: Coloring, grid, radius: float | None = None) -> np.ndarr
         if not box.any():
             continue
         sel = np.nonzero(box)
-        d = _point_seg_dist_arrays(cx[sel], cy[sel], seg)
+        d = point_segment_distance_batch(cx[sel], cy[sel], seg)
         hit = d <= radius
         mask[sel[0][hit], sel[1][hit]] = True
     return mask
-
-
-def _point_seg_dist_arrays(px: np.ndarray, py: np.ndarray, seg) -> np.ndarray:
-    ax, ay = seg.a
-    bx, by = seg.b
-    ex, ey = bx - ax, by - ay
-    L2 = ex * ex + ey * ey
-    if L2 == 0.0:
-        return np.hypot(px - ax, py - ay)
-    t = np.clip(((px - ax) * ex + (py - ay) * ey) / L2, 0.0, 1.0)
-    return np.hypot(px - (ax + t * ex), py - (ay + t * ey))
 
 
 def classification_accuracy(prob_black: np.ndarray, truth: Coloring, grid,

@@ -110,6 +110,17 @@ def test_views_match_fields():
     assert cfg.move_params().weights == cfg.move_weights()
 
 
+@pytest.mark.parametrize("key, raw", [("p", "nan"), ("cell_size", "nan"),
+                                      ("temperature", "inf"),
+                                      ("kink_area", "-inf")])
+def test_non_finite_floats_rejected_with_location(key, raw):
+    with pytest.raises(ValueError, match=f"line 2: bad value .* for {key}"):
+        parse_config(f"seed = 1\n{key} = {raw}\n")
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(ValueError, match=f"{flag}: bad value .* for {key}"):
+        convert_value(key, raw, where=flag)
+
+
 def test_convert_value_bool_and_unknown():
     with pytest.raises(ValueError, match="unknown option"):
         convert_value("nope", "1")

@@ -103,6 +103,27 @@ def test_bad_number_errors_with_line_number():
         parse_scanlog("# laser_max_range 8.0\nLASER 0 1 one 0 0 2.0 0\n")
 
 
+@pytest.mark.parametrize("text", [
+    "# laser_max_range 8.0\nLASER 0 nan 1 0 0 2.0 0\n",
+    "# laser_max_range 8.0\nPOINT 0.5 0.5 nan 1 0 0.3\n",
+    "# scanlog v1\n# window 0 0 nan 3\n",
+    "# scanlog v1\n# sonar_max_range inf\n",
+])
+def test_non_finite_number_errors_with_line_number(text):
+    with pytest.raises(ValueError, match="line 2: non-finite"):
+        parse_scanlog(text)
+
+
+@pytest.mark.parametrize("text, what", [
+    ("# laser_max_range 8.0\nLASER 0 1 1 0 0 9.0 0\n", "laser range 9.0"),
+    ("# sonar_max_range 3.5\nSONAR 0 1 1 0 0 2.0 2.0 0\n", "half_angle"),
+    ("# scanlog v1\nPOINT 0.5 0.5 0.2 1 0 0\n", "sigma"),
+])
+def test_rejected_reading_errors_with_line_number(text, what):
+    with pytest.raises(ValueError, match=f"line 2: .*{what}"):
+        parse_scanlog(text)
+
+
 def test_unknown_record_type_errors_with_line_number():
     with pytest.raises(ValueError, match="line 1.*RADAR"):
         parse_scanlog("RADAR 0 1 1 0 0 2.0 0\n")

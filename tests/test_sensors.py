@@ -371,8 +371,27 @@ def test_cache_total_tracks_recomputation_over_chain():
     lik = CompositeLikelihood([cache, point_lik])
     samp = Sampler(col, PriorParams(intensity=0.3), MoveParams(),
                    np.random.default_rng(6), lik)
+
+    class CachedMatchesScratch:
+        """Each cached log likelihood equals its recomputation after every
+        accept, so a missed touch cannot hide until the end of the chain."""
+        checks = 0
+
+        def on_accept(self, col, result):
+            for i, o in enumerate(cache.obs):
+                if i < cache.n_laser:
+                    want = laser_log_likelihood(o, col, cache.lp)
+                else:
+                    want = sonar_log_likelihood(o, col, cache.sp)
+                assert cache.ll[i] == pytest.approx(want, rel=1e-12), \
+                    f"observation {i} stale after accept {self.checks}"
+            self.checks += 1
+
+    listener = CachedMatchesScratch()
+    samp.listeners.append(listener)
     run_chain(samp, 3000)
     assert samp.stats.accepted > 100, "chain must actually move"
+    assert listener.checks == samp.stats.accepted
     fresh = cache.recompute_total(col)
     assert cache.log_likelihood() == pytest.approx(
         fresh, rel=1e-9, abs=1e-9)
