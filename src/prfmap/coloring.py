@@ -728,6 +728,21 @@ def changed_mask(anchor: Point2, xs: np.ndarray, ys: np.ndarray,
     return par.astype(bool)
 
 
+def changed_points(col: Coloring, result: ApplyResult, xs: np.ndarray,
+                   ys: np.ndarray) -> np.ndarray:
+    """Indices of points (xs, ys) whose color the applied edit changed.
+
+    Only points inside ``result.region`` can change, so the crossing test
+    of :func:`changed_mask` runs on those alone.
+    """
+    x0, y0, x1, y1 = result.region
+    cand = np.flatnonzero((xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1))
+    if len(cand) == 0:
+        return cand
+    return cand[changed_mask(col.anchor, xs[cand], ys[cand],
+                             result.delta_segments, result.anchor_flipped)]
+
+
 def point_changed(anchor: Point2, q: Point2, delta_segments,
                   anchor_flipped: bool) -> bool:
     par = crossing_parity(anchor, q, delta_segments)

@@ -16,11 +16,15 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .baseline import BaselineParams
-from .moves import INVERSE_KIND, KIND_ORDER, MoveParams
+from .moves import INVERSE_KIND, KIND_ORDER, MoveParams, default_weights
 from .prior import PriorParams
 from .sensors import LaserParams, SonarParams
 
 ENV_CONFIG_PATH = "PRFMAP_CONFIG"
+_W = default_weights()  # the defaults of RunConfig.weight_*
+_POSITIVE = ("p", "cell_size", "index_cell_size", "temperature", "t_start", "t_end",
+             "relocate_radius", "boundary_slide_delta", "kink_area",
+             "sim_cell_size", "laser_max_range", "sonar_max_range", "point_sigma")
 
 
 @dataclass
@@ -49,19 +53,19 @@ class RunConfig:
     relocate_radius: float = 0.25
     boundary_slide_delta: float = 0.25
     kink_area: float = 0.25
-    weight_triangle_birth: float = 0.08
-    weight_triangle_death: float = 0.08
-    weight_wedge_birth: float = 0.08
-    weight_wedge_death: float = 0.08
-    weight_chord_birth: float = 0.08
-    weight_chord_death: float = 0.08
-    weight_kink_birth: float = 0.08
-    weight_kink_death: float = 0.08
-    weight_relocate: float = 0.10
-    weight_boundary_slide: float = 0.05
-    weight_edge_slide: float = 0.10
-    weight_recolor_pair: float = 0.03
-    weight_recolor_local: float = 0.08
+    weight_triangle_birth: float = _W["triangle_birth"]
+    weight_triangle_death: float = _W["triangle_death"]
+    weight_wedge_birth: float = _W["wedge_birth"]
+    weight_wedge_death: float = _W["wedge_death"]
+    weight_chord_birth: float = _W["chord_birth"]
+    weight_chord_death: float = _W["chord_death"]
+    weight_kink_birth: float = _W["kink_birth"]
+    weight_kink_death: float = _W["kink_death"]
+    weight_relocate: float = _W["relocate"]
+    weight_boundary_slide: float = _W["boundary_slide"]
+    weight_edge_slide: float = _W["edge_slide"]
+    weight_recolor_pair: float = _W["recolor_pair"]
+    weight_recolor_local: float = _W["recolor_local"]
 
     # laser observation model
     laser_sigma_frac: float = 0.01
@@ -109,17 +113,20 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        if self.p <= 0.0:
-            raise ValueError("p must be positive")
-        for name in ("proposals", "burn_in", "sample_every", "anneal_proposals"):
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("proposals", "burn_in", "sample_every", "anneal_proposals",
+                     "baseline_sonar_arc_halfwidth"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.chains < 1:
-            raise ValueError("chains must be at least 1")
-        if self.cell_size <= 0.0 or self.index_cell_size <= 0.0:
-            raise ValueError("cell sizes must be positive")
-        if self.temperature <= 0.0 or self.t_start <= 0.0 or self.t_end <= 0.0:
-            raise ValueError("temperatures must be positive")
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        for name in ("chains", "laser_beams", "sonar_transducers",
+                     "point_grid_nx", "point_grid_ny"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if not 0.0 < self.sonar_half_angle < math.pi / 2:
+            raise ValueError(f"sonar_half_angle must be in (0, pi/2), "
+                             f"got {self.sonar_half_angle!r}")
         weights = self.move_weights()
         if any(w < 0.0 for w in weights.values()):
             raise ValueError("move weights must be nonnegative")

@@ -212,16 +212,16 @@ def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     return math.hypot(a.x + t * ex - p.x, a.y + t * ey - p.y)
 
 
-def point_segment_distance_batch(px: np.ndarray, py: np.ndarray,
-                                 seg: Segment) -> np.ndarray:
-    """:func:`point_segment_distance` from each point (px[i], py[i]) to seg."""
-    ax, ay = seg.a
-    bx, by = seg.b
+def point_segment_distance_batch(px, py, ax, ay, bx, by) -> np.ndarray:
+    """:func:`point_segment_distance` from points (px, py) to segments (a, b).
+
+    Every argument is a scalar or an array; they broadcast together.
+    """
     ex, ey = bx - ax, by - ay
     L2 = ex * ex + ey * ey
-    if L2 == 0.0:
-        return np.hypot(px - ax, py - ay)
-    t = np.clip(((px - ax) * ex + (py - ay) * ey) / L2, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(np.divide((px - ax) * ex + (py - ay) * ey, L2), 0.0, 1.0)
+    t = np.where(L2 > 0.0, t, 0.0)
     return np.hypot(px - (ax + t * ex), py - (ay + t * ey))
 
 

@@ -116,18 +116,6 @@ def cone_cells(grid: GridSpec, apex: Point2, heading: float,
     slightly near the apex but never misses a cell that the true sector
     touches.
     """
-    return [c for c, _ in cone_cells_with_distance(grid, apex, heading,
-                                                   half_angle, radius)]
-
-
-def cone_cells_with_distance(grid: GridSpec, apex: Point2, heading: float,
-                             half_angle: float, radius: float):
-    """:func:`cone_cells` as (cell, apex distance) pairs.
-
-    The distance is from the apex to the nearest point of the cell, so
-    truncating the sector to a smaller radius is a cheap filter instead of
-    a rescan.
-    """
     ux_lo, uy_lo = math.cos(heading - half_angle), math.sin(heading - half_angle)
     ux_hi, uy_hi = math.cos(heading + half_angle), math.sin(heading + half_angle)
     out = []
@@ -137,8 +125,7 @@ def cone_cells_with_distance(grid: GridSpec, apex: Point2, heading: float,
         # nearest point of the rect to the apex within the disc?
         nx = min(max(apex.x, r.xmin), r.xmax)
         ny = min(max(apex.y, r.ymin), r.ymax)
-        d2 = (nx - apex.x) ** 2 + (ny - apex.y) ** 2
-        if d2 > radius * radius:
+        if (nx - apex.x) ** 2 + (ny - apex.y) ** 2 > radius * radius:
             continue
         corners = ((r.xmin, r.ymin), (r.xmin, r.ymax), (r.xmax, r.ymin), (r.xmax, r.ymax))
         # some corner on the non-negative side of the lower wedge boundary
@@ -146,5 +133,5 @@ def cone_cells_with_distance(grid: GridSpec, apex: Point2, heading: float,
             continue
         if all(ux_hi * (cy - apex.y) - uy_hi * (cx - apex.x) > 0.0 for cx, cy in corners):
             continue
-        out.append(((ix, iy), math.sqrt(d2)))
+        out.append((ix, iy))
     return out

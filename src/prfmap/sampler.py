@@ -16,7 +16,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .coloring import ApplyResult, Coloring, changed_mask
+from .coloring import ApplyResult, Coloring, changed_mask, changed_points
 from .geometry import GridSpec, cell_centers, grid_trace_segment
 from .moves import MoveParams, Proposal, propose
 from .prior import PriorParams, energy, log_prior_from_stats, log_reference_mass
@@ -203,16 +203,7 @@ class PointColorTracker:
         self.colors = col.colors_at(self.xs, self.ys)
 
     def on_accept(self, col: Coloring, result: ApplyResult) -> None:
-        x0, y0, x1, y1 = result.region
-        sel = ((self.xs >= x0) & (self.xs <= x1)
-               & (self.ys >= y0) & (self.ys <= y1))
-        if not sel.any():
-            return
-        flip = changed_mask(col.anchor, self.xs[sel], self.ys[sel],
-                            result.delta_segments, result.anchor_flipped)
-        if flip.any():
-            idx = np.flatnonzero(sel)[flip]
-            self.colors[idx] ^= 1
+        self.colors[changed_points(col, result, self.xs, self.ys)] ^= 1
 
 
 class RasterTracker:

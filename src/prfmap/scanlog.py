@@ -13,8 +13,8 @@ is 1 when the reading is a max-range miss, else 0.  Per-sensor maximum
 ranges ride in ``# laser_max_range`` / ``# sonar_max_range`` headers so
 readings round-trip without repeating the limit on every line.
 Unrecognized ``#`` lines are comments.  Malformed records, non-finite
-numbers and readings the observation records reject raise with their line
-number.
+numbers, an empty or inverted window, a non-positive maximum range and
+readings the observation records reject raise with their line number.
 """
 
 from __future__ import annotations
@@ -102,11 +102,16 @@ def parse_scanlog(text: str) -> ScanLog:
         if toks[0] == "#":
             if len(toks) >= 6 and toks[1] == "window":
                 x0, y0, x1, y1 = _floats(toks[2:6], lineno)
+                if not (x0 < x1 and y0 < y1):
+                    raise ValueError(f"line {lineno}: window must have xmin < xmax "
+                                     f"and ymin < ymax, got {toks[2:6]!r}")
                 log.window = Rect(x0, y0, x1, y1)
-            elif len(toks) >= 3 and toks[1] == "laser_max_range":
-                log.laser_max_range = _floats(toks[2:3], lineno)[0]
-            elif len(toks) >= 3 and toks[1] == "sonar_max_range":
-                log.sonar_max_range = _floats(toks[2:3], lineno)[0]
+            elif len(toks) >= 3 and toks[1] in ("laser_max_range", "sonar_max_range"):
+                r = _floats(toks[2:3], lineno)[0]
+                if r <= 0.0:
+                    raise ValueError(f"line {lineno}: {toks[1]} must be positive, "
+                                     f"got {toks[2]!r}")
+                setattr(log, toks[1], r)
             continue
         kind = toks[0]
         if kind == "LASER":

@@ -21,8 +21,8 @@ chain: it keeps every observation's log likelihood cached together with its
 current *sensitivity extent* (beam up to the impact point; cone up to the
 farthest contact), and on each proposed edit recomputes only the
 observations whose extent the edit touches or whose sensor position changed
-color.  Beams are tested against every changed segment at once; only cones
-are indexed in the grid cells their extent overlaps.
+color.  It keeps no cell index: each changed segment is tested against every
+beam, and against every cone, in one vectorised pass per family.
 """
 
 from __future__ import annotations
@@ -32,20 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import BLACK, Coloring, changed_mask
+from .coloring import BLACK, Coloring, changed_points
 from .geometry import (
     ZERO_WIDTH_FACE_TOL,
     Cone,
     Point2,
     Segment,
     VisibleFeature,
-    grid_trace_segment,
+    grid_trace_segment,  # noqa: F401  (unused; perfbench/layers.py patches this name)
     point_segment_distance_batch,
     ray_rect_exit,
     unit_vector,
     visibility_sweep,
 )
-from .grid_index import cone_cells, cone_cells_with_distance
+from .grid_index import cone_cells
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -242,9 +242,7 @@ def sonar_cone(o: SonarObs) -> Cone:
     return Cone(Point2(o.x, o.y), o.heading + o.bearing, o.half_angle, o.max_range)
 
 
-def _candidate_segments(col: Coloring, cone: Cone):
-    cells = cone_cells(col.grid, cone.apex, cone.heading, cone.half_angle,
-                       cone.max_range)
+def _candidate_segments(col: Coloring, cells) -> list[tuple[int, Segment]]:
     return [(eid, col.segment_of(eid)) for eid in sorted(col.index.edges_in_cells(cells))]
 
 
@@ -271,7 +269,9 @@ def sonar_features(o: SonarObs, col: Coloring,
                    params: SonarParams) -> list[tuple[VisibleFeature, float, float]]:
     """Visible features in the cone with their return probabilities."""
     cone = sonar_cone(o)
-    feats = visibility_sweep(_candidate_segments(col, cone), cone)
+    cells = cone_cells(col.grid, cone.apex, cone.heading, cone.half_angle,
+                       cone.max_range)
+    feats = visibility_sweep(_candidate_segments(col, cells), cone)
     return return_probabilities(feats, params)
 
 
@@ -326,20 +326,40 @@ def _seg_batch_min_dist(ax, ay, bx, by, seg: Segment) -> np.ndarray:
         & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
 
     d = np.minimum(
-        np.minimum(point_segment_distance_batch(ax, ay, seg),
-                   point_segment_distance_batch(bx, by, seg)),
-        np.minimum(_endpoint_to_batch_dist(sax, say, ax, ay, bx, by),
-                   _endpoint_to_batch_dist(sbx, sby, ax, ay, bx, by)))
+        np.minimum(point_segment_distance_batch(ax, ay, sax, say, sbx, sby),
+                   point_segment_distance_batch(bx, by, sax, say, sbx, sby)),
+        np.minimum(point_segment_distance_batch(sax, say, ax, ay, bx, by),
+                   point_segment_distance_batch(sbx, sby, ax, ay, bx, by)))
     d[proper] = 0.0
     return d
 
 
-def _endpoint_to_batch_dist(px, py, ax, ay, bx, by) -> np.ndarray:
-    ex, ey = bx - ax, by - ay
-    L2 = ex * ex + ey * ey
-    t = np.where(L2 > 0.0, ((px - ax) * ex + (py - ay) * ey) / np.where(L2 > 0, L2, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.hypot(px - (ax + t * ex), py - (ay + t * ey))
+def _wedge_clip_distance(px, py, ulox, uloy, uhix, uhiy, seg: Segment) -> np.ndarray:
+    """Apex distance of the piece of seg inside each wedge; inf if none.
+
+    Wedge i has apex (px[i], py[i]) and bounding unit vectors u_lo[i],
+    u_hi[i].  This is :func:`geometry._clip_to_wedge` followed by the
+    apex-to-piece distance that :func:`visibility_sweep` compares with the
+    range, done with the same float operations over all wedges at once.
+    """
+    (ax, ay), (bx, by) = seg
+    dx, dy = bx - ax, by - ay
+    t0 = np.zeros(len(px))
+    t1 = np.ones(len(px))
+    inside = np.ones(len(px), dtype=bool)
+    # cross(u_lo, p - apex) >= 0  and  cross(u_hi, p - apex) <= 0
+    for ux, uy, sign in ((ulox, uloy, 1.0), (uhix, uhiy, -1.0)):
+        want = sign * (ux * (ay - py) - uy * (ax - px))
+        srate = sign * (ux * dy - uy * dx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tcut = -want / srate
+        t0 = np.where(srate > 0.0, np.maximum(t0, tcut), t0)
+        t1 = np.where(srate < 0.0, np.minimum(t1, tcut), t1)
+        inside &= (srate != 0.0) | (want >= 0.0)
+    inside &= t0 <= t1
+    d = point_segment_distance_batch(px, py, ax + t0 * dx, ay + t0 * dy,
+                                     ax + t1 * dx, ay + t1 * dy)
+    return np.where(inside, d, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +372,11 @@ class ObservationCache:
     Implements the chain's Likelihood protocol: ``delta_for_edit`` stages
     recomputes for the observations an applied edit could affect — beams
     whose ``[sensor, impact]`` segment lies within ``_TOUCH_EPS`` of a
-    changed segment, cones indexed in grid cells the changed segments cross
-    whose truncated wedge a changed segment reaches, plus every observation
+    changed segment, cones whose wedge holds a piece of a changed segment
+    within ``_TOUCH_EPS`` of the truncated radius, plus every observation
     whose sensor position changed color — and ``commit``/``rollback``
-    finalize or discard the staging.  Only cones are cell-indexed.  The
+    finalize or discard the staging.  No cell index is kept: each family is
+    tested against every changed segment in one numpy pass.  The
     construction-time coloring must give every sensor a free (white)
     position.
     """
@@ -393,18 +414,14 @@ class ObservationCache:
         self.uhix = np.zeros(n)
         self.uhiy = np.zeros(n)
         self.trunc_radius = np.zeros(n)
-        self._full_cells: list[list[tuple[tuple[int, int], float]] | None] = [None] * n
+        self._full_cells: list[list[tuple[int, int]] | None] = [None] * n
         for j, o in enumerate(sonars):
             i = self.n_laser + j
             c = sonar_cone(o)
             self.ulox[i], self.uloy[i] = unit_vector(c.heading - c.half_angle)
             self.uhix[i], self.uhiy[i] = unit_vector(c.heading + c.half_angle)
-            self._full_cells[i] = cone_cells_with_distance(
-                self.grid, c.apex, c.heading, c.half_angle, c.max_range)
-
-        # cell -> cones whose truncated sector meets it, and the inverse
-        self._cells: dict[tuple[int, int], set[int]] = {}
-        self._obs_cells: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            self._full_cells[i] = cone_cells(self.grid, c.apex, c.heading,
+                                             c.half_angle, c.max_range)
 
         if bool(col.colors_at(self.sx, self.sy).any()):
             raise ValueError("every sensor position must start in free space")
@@ -426,7 +443,7 @@ class ObservationCache:
 
     def delta_for_edit(self, col: Coloring, result) -> float | None:
         delta_segs = result.delta_segments
-        flipped = self._flipped_sensors(col, result)
+        flipped = changed_points(col, result, self.sx, self.sy)
         touched = self._touched_observations(delta_segs)
         affected = np.union1d(flipped, touched) if len(flipped) else touched
         flipset = set(int(i) for i in flipped)
@@ -471,50 +488,19 @@ class ObservationCache:
 
     # -- internals --------------------------------------------------------
 
-    def _flipped_sensors(self, col: Coloring, result) -> np.ndarray:
-        x0, y0, x1, y1 = result.region
-        cand = np.nonzero((self.sx >= x0) & (self.sx <= x1)
-                          & (self.sy >= y0) & (self.sy <= y1))[0]
-        if len(cand) == 0:
-            return cand
-        chg = changed_mask(col.anchor, self.sx[cand], self.sy[cand],
-                           result.delta_segments, result.anchor_flipped)
-        return cand[chg]
-
     def _touched_observations(self, delta_segs) -> np.ndarray:
         nl = self.n_laser
         hit = np.zeros(len(self.obs), dtype=bool)
-        if nl:
-            beams = hit[:nl]
-            for seg in delta_segs:
+        beams, cones = hit[:nl], hit[nl:]
+        for seg in delta_segs:
+            if nl:
                 d = _seg_batch_min_dist(self.sx[:nl], self.sy[:nl],
                                         self.impact_x[:nl], self.impact_y[:nl], seg)
                 beams |= d <= _TOUCH_EPS
-        cand: set[int] = set()
-        if self._cells:
-            for seg in delta_segs:
-                for cell in grid_trace_segment(seg, self.grid):
-                    got = self._cells.get(cell)
-                    if got:
-                        cand |= got
-        if cand:
-            si = np.fromiter(cand, dtype=np.intp, count=len(cand))
-            cones = np.zeros(len(si), dtype=bool)
-            ax, ay = self.sx[si], self.sy[si]
-            rad = self.trunc_radius[si] + _TOUCH_EPS
-            for seg in delta_segs:
-                d = point_segment_distance_batch(ax, ay, seg)
-                near = d <= rad
-                # clearly outside either bounding half-plane of the wedge
-                pax, pay = seg.a.x - ax, seg.a.y - ay
-                pbx, pby = seg.b.x - ax, seg.b.y - ay
-                lo_a = self.ulox[si] * pay - self.uloy[si] * pax
-                lo_b = self.ulox[si] * pby - self.uloy[si] * pbx
-                hi_a = self.uhix[si] * pay - self.uhiy[si] * pax
-                hi_b = self.uhix[si] * pby - self.uhiy[si] * pbx
-                outside = ((lo_a < 0) & (lo_b < 0)) | ((hi_a > 0) & (hi_b > 0))
-                cones |= near & ~outside
-            hit[si] = cones
+            if len(cones):
+                d = _wedge_clip_distance(self.sx[nl:], self.sy[nl:], self.ulox[nl:],
+                                         self.uloy[nl:], self.uhix[nl:], self.uhiy[nl:], seg)
+                cones |= d <= self.trunc_radius[nl:] + _TOUCH_EPS
         return np.flatnonzero(hit)
 
     def _evaluate(self, i: int, col: Coloring, color_flipped: bool):
@@ -535,9 +521,7 @@ class ObservationCache:
         if black:
             return -math.inf, o.max_range
         cone = sonar_cone(o)
-        cand = col.index.edges_in_cells(c for c, _ in self._full_cells[i])
-        segs = [(eid, col.segment_of(eid)) for eid in sorted(cand)]
-        feats = visibility_sweep(segs, cone)
+        feats = visibility_sweep(_candidate_segments(col, self._full_cells[i]), cone)
         triples = return_probabilities(feats, self.sp)
         ll = _sonar_density_log(o.range, o.is_max_range, triples,
                                 o.max_range, self.sp)
@@ -550,17 +534,6 @@ class ObservationCache:
             self.impact_y[i] = self.sy[i] + ext * self.diry[i]
         else:
             self.trunc_radius[i] = ext
-            self._reindex(i, [c for c, dmin in self._full_cells[i] if dmin <= ext])
-
-    def _reindex(self, i: int, cells: list[tuple[int, int]]) -> None:
-        for c in self._obs_cells[i]:
-            bucket = self._cells[c]
-            bucket.discard(i)
-            if not bucket:
-                del self._cells[c]
-        self._obs_cells[i] = cells
-        for c in cells:
-            self._cells.setdefault(c, set()).add(i)
 
 
 def _sweep_contact_radius_points(triples, cone: Cone) -> float:
@@ -615,13 +588,7 @@ class PointColorLikelihood:
         return self._total
 
     def delta_for_edit(self, col: Coloring, result) -> float | None:
-        x0, y0, x1, y1 = result.region
-        cand = np.nonzero((self.qx >= x0) & (self.qx <= x1)
-                          & (self.qy >= y0) & (self.qy <= y1))[0]
-        if len(cand):
-            chg = changed_mask(col.anchor, self.qx[cand], self.qy[cand],
-                               result.delta_segments, result.anchor_flipped)
-            cand = cand[chg]
+        cand = changed_points(col, result, self.qx, self.qy)
         old = np.where(self.black[cand], self.term_black[cand], self.term_white[cand])
         new = np.where(self.black[cand], self.term_white[cand], self.term_black[cand])
         self._staged_idx = cand

@@ -358,7 +358,7 @@ def near_edge_mask(col: Coloring, grid, radius: float | None = None) -> np.ndarr
         if not box.any():
             continue
         sel = np.nonzero(box)
-        d = point_segment_distance_batch(cx[sel], cy[sel], seg)
+        d = point_segment_distance_batch(cx[sel], cy[sel], *seg.a, *seg.b)
         hit = d <= radius
         mask[sel[0][hit], sel[1][hit]] = True
     return mask

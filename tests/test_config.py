@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from prfmap.cli import main
 from prfmap.config import (
     ENV_CONFIG_PATH,
     RunConfig,
@@ -15,7 +16,7 @@ from prfmap.config import (
     parse_config,
     read_config,
 )
-from prfmap.moves import KIND_ORDER
+from prfmap.moves import KIND_ORDER, MoveParams
 
 
 def test_defaults_validate():
@@ -98,6 +99,30 @@ def test_validation_rejects_bad_ranges():
                  "laser_w_gauss = 0.5\n"):
         with pytest.raises(ValueError):
             parse_config(text)
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("sim_cell_size", "0"), ("relocate_radius", "-1"),
+    ("boundary_slide_delta", "-1"), ("kink_area", "0"),
+    ("laser_max_range", "-1"), ("sonar_max_range", "0"),
+    ("sonar_half_angle", "3"), ("laser_beams", "0"),
+    ("sonar_transducers", "0"), ("point_sigma", "0"),
+    ("baseline_sonar_arc_halfwidth", "-1"), ("point_grid_ny", "-3"),
+])
+def test_validation_names_the_out_of_range_key(key, raw):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        parse_config(f"{key} = {raw}\n")
+
+
+def test_cli_rejects_zero_sim_cell_size(tmp_path, capsys):
+    code = main(["simulate", "--world", "two_region", "--sim-cell-size", "0",
+                 "--out", str(tmp_path / "sim")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: sim_cell_size must be positive")
+
+
+def test_default_move_params_match_run_config():
+    assert RunConfig().move_params() == MoveParams()
 
 
 def test_views_match_fields():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prfmap.cli import main
 from prfmap.geometry import Rect
 from prfmap.scanlog import ScanLog, dump_scanlog, parse_scanlog, read_scanlog, write_scanlog
 from prfmap.sensors import LaserObs, PointColorObs, SonarObs
@@ -118,10 +119,22 @@ def test_non_finite_number_errors_with_line_number(text):
     ("# laser_max_range 8.0\nLASER 0 1 1 0 0 9.0 0\n", "laser range 9.0"),
     ("# sonar_max_range 3.5\nSONAR 0 1 1 0 0 2.0 2.0 0\n", "half_angle"),
     ("# scanlog v1\nPOINT 0.5 0.5 0.2 1 0 0\n", "sigma"),
+    ("# scanlog v1\n# window 1 0 0 1\n", "window"),
+    ("# scanlog v1\n# window 0 2 3 2\n", "window"),
+    ("# scanlog v1\n# laser_max_range -2\n", "laser_max_range"),
+    ("# scanlog v1\n# sonar_max_range 0\n", "sonar_max_range"),
 ])
 def test_rejected_reading_errors_with_line_number(text, what):
     with pytest.raises(ValueError, match=f"line 2: .*{what}"):
         parse_scanlog(text)
+
+
+def test_sample_on_inverted_window_reports_the_line(tmp_path, capsys):
+    log = tmp_path / "bad.log"
+    log.write_text("# scanlog v1\n# window 1 0 0 1\nPOINT 0.5 0.5 0.2 1 0 0.3\n")
+    code = main(["sample", "--log", str(log), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 2: window")
 
 
 def test_unknown_record_type_errors_with_line_number():

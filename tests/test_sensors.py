@@ -19,17 +19,20 @@ from hypothesis import strategies as st
 
 from prfmap.coloring import Coloring
 from prfmap.geometry import (Point2, Rect, Segment, VisibleFeature,
-                             ray_rect_exit, ray_segment_intersection,
-                             unit_vector)
+                             _clip_to_wedge, _point_at,
+                             point_segment_distance, ray_rect_exit,
+                             ray_segment_intersection, unit_vector)
 from prfmap.moves import MoveParams
 from prfmap.prior import PriorParams
 from prfmap.sampler import Sampler, run_chain
-from prfmap.sensors import (CompositeLikelihood, LaserObs, LaserParams,
+from prfmap.sensors import (_TOUCH_EPS, CompositeLikelihood, LaserObs,
+                            LaserParams, _wedge_clip_distance,
                             ObservationCache, PointColorLikelihood,
                             PointColorObs, SonarObs, SonarParams,
                             beam_direction, laser_log_likelihood,
                             laser_true_distance, return_probabilities,
                             sonar_features, sonar_log_likelihood)
+from prfmap.sim import SonarRingSpec
 
 WINDOW = Rect(0.0, 0.0, 4.0, 3.0)
 
@@ -329,6 +332,82 @@ def test_point_likelihood_prefers_matching_color():
     empty = Coloring.empty(WINDOW, cell_size=0.5)
     lik_empty = PointColorLikelihood(empty, obs)
     assert lik.log_likelihood() > lik_empty.log_likelihood()
+
+
+# ---------------------------------------------------------------------------
+# the cache's cone touch test vs the sweep's scalar clip
+
+
+def _sweep_clip_distance(apex, heading, half_angle, seg):
+    """Reference: the clip visibility_sweep applies, then its range distance."""
+    span = _clip_to_wedge(seg, apex, unit_vector(heading - half_angle),
+                          unit_vector(heading + half_angle))
+    if span is None:
+        return math.inf
+    return point_segment_distance(apex, _point_at(seg, span[0]),
+                                  _point_at(seg, span[1]))
+
+
+def _check_wedge_test(apexes, headings, half_angles, segs):
+    px = np.array([a.x for a in apexes])
+    py = np.array([a.y for a in apexes])
+    lo = np.array([unit_vector(h - b) for h, b in zip(headings, half_angles)])
+    hi = np.array([unit_vector(h + b) for h, b in zip(headings, half_angles)])
+    for seg in segs:
+        got = _wedge_clip_distance(px, py, lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], seg)
+        want = np.array([_sweep_clip_distance(a, h, b, seg) for a, h, b
+                         in zip(apexes, headings, half_angles)])
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        np.testing.assert_allclose(got[fin], want[fin], rtol=1e-12, atol=1e-15)
+        # a cone truncated exactly at the reference distance still sees seg
+        missed = fin & ~(got <= want + _TOUCH_EPS)
+        assert not missed.any(), f"missed touch of {seg} by cones {np.flatnonzero(missed)}"
+
+
+def _awkward_segments(apex, heading, half_angle, rng, n):
+    """Random segments plus ones ending on, or parallel to, a wedge edge."""
+    segs = []
+    for _ in range(n):
+        a = Point2(*rng.uniform(-4.0, 4.0, 2))
+        b = Point2(*rng.uniform(-4.0, 4.0, 2))
+        segs.append(Segment(a, b))
+        ux, uy = unit_vector(heading + rng.choice([-1.0, 1.0]) * half_angle)
+        s = rng.uniform(0.1, 3.0)
+        on_edge = Point2(apex.x + s * ux, apex.y + s * uy)
+        segs.append(Segment(on_edge, b))
+        off = rng.uniform(-0.3, 0.3)
+        base = Point2(on_edge.x - off * uy, on_edge.y + off * ux)
+        segs.append(Segment(base, Point2(base.x + ux, base.y + uy)))
+    return segs
+
+
+def test_wedge_touch_matches_sweep_clip_on_random_cones():
+    rng = np.random.default_rng(11)
+    n = 60
+    apexes = [Point2(*rng.uniform(-2.0, 2.0, 2)) for _ in range(n)]
+    headings = rng.uniform(-math.pi, math.pi, n)
+    half_angles = rng.uniform(0.02, 1.5, n)
+    # a lower edge along +x, so horizontal segments are exactly parallel to it
+    headings[:6] = half_angles[:6]
+    segs = [Segment(Point2(-4.0, a.y + dy), Point2(4.0, a.y + dy))
+            for a in apexes[:6] for dy in (-0.5, 0.0, 0.5)]
+    for k in range(0, n, 6):
+        segs += _awkward_segments(apexes[k], headings[k], half_angles[k], rng, 5)
+    _check_wedge_test(apexes, headings, half_angles, segs)
+
+
+def test_wedge_touch_matches_sweep_clip_on_a_sonar_ring():
+    rng = np.random.default_rng(12)
+    ring = SonarRingSpec()
+    apex = Point2(0.7, -0.4)
+    headings = 0.3 + ring.bearings()
+    half_angles = np.full(ring.n_transducers, ring.half_angle)
+    segs = [Segment(Point2(-3.0, 1.0), Point2(3.0, 1.0)),
+            Segment(Point2(0.7, -0.4), Point2(2.0, 2.0))]
+    for h in headings[::4]:
+        segs += _awkward_segments(apex, h, ring.half_angle, rng, 10)
+    _check_wedge_test([apex] * ring.n_transducers, headings, half_angles, segs)
 
 
 # ---------------------------------------------------------------------------
