@@ -121,7 +121,7 @@ def _sample_worker(payload: tuple[str, str, int]):
     cfg = parse_config(cfg_text)
     log = read_scanlog(log_path)
     acc, samp, elapsed = run_posterior_chain(log, cfg, chain_index)
-    return acc.black, acc.white_cells, acc.samples, chain_report(samp, elapsed)
+    return acc, chain_report(samp, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +182,16 @@ def cmd_sample(cfg: RunConfig, log_path: str, out_prefix: str) -> int:
         acc = OccupancyAccumulator(grid)
         payloads = [(log_path, dump_config(cfg), i) for i in range(cfg.chains)]
         with ProcessPoolExecutor(max_workers=cfg.chains) as pool:
-            for black, white, samples, report in pool.map(_sample_worker,
-                                                          payloads):
-                acc.black += black
-                acc.white_cells += white
-                acc.samples += samples
+            for part, report in pool.map(_sample_worker, payloads):
+                acc.merge(part)
                 reports.append(report)
     if acc.samples == 0:
         raise ValueError("no samples retained; increase proposals or lower "
                          "burn_in/sample_every")
     extra = {"samples": acc.samples, "chains": cfg.chains}
     write_pgm(out_prefix + "_black.pgm", acc.mean(), grid, extra=extra)
-    allwhite = acc.white_cells / float(acc.samples)
-    write_pgm(out_prefix + "_allwhite.pgm", 1.0 - allwhite, grid, extra=extra)
+    write_pgm(out_prefix + "_allwhite.pgm", 1.0 - acc.all_white_fraction(), grid,
+              extra=extra)
     report_path = out_prefix + "_report.txt"
     with open(report_path, "w", encoding="utf-8") as fh:
         for i, rep in enumerate(reports):

@@ -32,7 +32,7 @@ class RunConfig:
     """Every tunable across chain, sensors, baseline, and simulation."""
 
     # prior
-    p: float = 0.1
+    p: float = PriorParams.intensity
 
     # chain
     seed: int = 0
@@ -50,9 +50,9 @@ class RunConfig:
     index_cell_size: float = 0.5
 
     # proposal distribution
-    relocate_radius: float = 0.25
-    boundary_slide_delta: float = 0.25
-    kink_area: float = 0.25
+    relocate_radius: float = MoveParams.relocate_radius
+    boundary_slide_delta: float = MoveParams.boundary_slide_delta
+    kink_area: float = MoveParams.kink_area
     weight_triangle_birth: float = _W["triangle_birth"]
     weight_triangle_death: float = _W["triangle_death"]
     weight_wedge_birth: float = _W["wedge_birth"]
@@ -68,31 +68,31 @@ class RunConfig:
     weight_recolor_local: float = _W["recolor_local"]
 
     # laser observation model
-    laser_sigma_frac: float = 0.01
-    laser_sigma_floor: float = 0.01
-    laser_w_gauss: float = 0.9
-    laser_w_uniform: float = 0.05
-    laser_w_maxrange: float = 0.05
+    laser_sigma_frac: float = LaserParams.sigma_frac
+    laser_sigma_floor: float = LaserParams.sigma_floor
+    laser_w_gauss: float = LaserParams.w_gauss
+    laser_w_uniform: float = LaserParams.w_uniform
+    laser_w_maxrange: float = LaserParams.w_maxrange
 
     # sonar observation model
-    sonar_corner_intercept: float = 0.8
-    sonar_corner_distance_slope: float = -0.8
-    sonar_face_intercept: float = -1.543
-    sonar_face_distance_slope: float = -0.8
-    sonar_face_projection_slope: float = 2.81
-    sonar_face_subtended_slope: float = 5.0
-    sonar_sigma: float = 0.03
-    sonar_w_uniform: float = 0.3
-    sonar_w_exponential: float = 0.3
-    sonar_w_maxrange: float = 0.4
-    sonar_outlier_rate: float = 1.0
+    sonar_corner_intercept: float = SonarParams.corner_intercept
+    sonar_corner_distance_slope: float = SonarParams.corner_distance_slope
+    sonar_face_intercept: float = SonarParams.face_intercept
+    sonar_face_distance_slope: float = SonarParams.face_distance_slope
+    sonar_face_projection_slope: float = SonarParams.face_projection_slope
+    sonar_face_subtended_slope: float = SonarParams.face_subtended_slope
+    sonar_sigma: float = SonarParams.sigma
+    sonar_w_uniform: float = SonarParams.w_uniform
+    sonar_w_exponential: float = SonarParams.w_exponential
+    sonar_w_maxrange: float = SonarParams.w_maxrange
+    sonar_outlier_rate: float = SonarParams.outlier_rate
 
     # occupancy-grid baseline
-    baseline_laser_occupied: float = 0.4
-    baseline_laser_free: float = 0.4
-    baseline_sonar_occupied: float = 0.15
-    baseline_sonar_free: float = 0.15
-    baseline_sonar_arc_halfwidth: float = 0.05
+    baseline_laser_occupied: float = BaselineParams.laser_occupied
+    baseline_laser_free: float = BaselineParams.laser_free
+    baseline_sonar_occupied: float = BaselineParams.sonar_occupied
+    baseline_sonar_free: float = BaselineParams.sonar_free
+    baseline_sonar_arc_halfwidth: float = BaselineParams.sonar_arc_halfwidth
 
     # simulation
     world: str = "corridor"
@@ -157,34 +157,18 @@ class RunConfig:
                           kink_area=self.kink_area,
                           weights=self.move_weights())
 
+    def _params(self, cls, prefix: str):
+        """cls built from the keys named prefix + each of its fields."""
+        return cls(**{f.name: getattr(self, prefix + f.name) for f in fields(cls)})
+
     def laser_params(self) -> LaserParams:
-        return LaserParams(sigma_frac=self.laser_sigma_frac,
-                           sigma_floor=self.laser_sigma_floor,
-                           w_gauss=self.laser_w_gauss,
-                           w_uniform=self.laser_w_uniform,
-                           w_maxrange=self.laser_w_maxrange)
+        return self._params(LaserParams, "laser_")
 
     def sonar_params(self) -> SonarParams:
-        return SonarParams(
-            corner_intercept=self.sonar_corner_intercept,
-            corner_distance_slope=self.sonar_corner_distance_slope,
-            face_intercept=self.sonar_face_intercept,
-            face_distance_slope=self.sonar_face_distance_slope,
-            face_projection_slope=self.sonar_face_projection_slope,
-            face_subtended_slope=self.sonar_face_subtended_slope,
-            sigma=self.sonar_sigma,
-            w_uniform=self.sonar_w_uniform,
-            w_exponential=self.sonar_w_exponential,
-            w_maxrange=self.sonar_w_maxrange,
-            outlier_rate=self.sonar_outlier_rate)
+        return self._params(SonarParams, "sonar_")
 
     def baseline_params(self) -> BaselineParams:
-        return BaselineParams(
-            laser_occupied=self.baseline_laser_occupied,
-            laser_free=self.baseline_laser_free,
-            sonar_occupied=self.baseline_sonar_occupied,
-            sonar_free=self.baseline_sonar_free,
-            sonar_arc_halfwidth=self.baseline_sonar_arc_halfwidth)
+        return self._params(BaselineParams, "baseline_")
 
 
 _TYPES: dict[str, type] = {

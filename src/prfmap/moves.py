@@ -11,22 +11,26 @@ weight is folded into both densities.
 
 Kinds come in inverse pairs: birth/death of triangles, boundary wedges and
 chords, kink insertion/removal, and the self-inverse relocation, slide and
-recoloring moves.  ``build_inverse`` reconstructs, from the post state and
-the apply result, the exact proposal that undoes an applied edit; tests use
-it to verify that forward and reverse densities agree and that applying the
+recoloring moves.  Each kind has a constructor (``_triangle_birth``,
+``_kink_death``, ...) that turns drawn arguments into the Proposal with both
+densities; its ``propose_*`` function only draws them.  ``build_inverse``
+reads the inverse kind's arguments off the post state and apply result and
+calls the chain's constructor (edge slides share ``_edge_slide_densities``);
+tests use it to check that forward and reverse densities agree and that the
 inverse restores the original configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coloring import BOUNDARY, INTERIOR, ApplyResult, Coloring, Edit
 from .geometry import (
     Point2,
+    Rect,
     Segment,
     boundary_arclength,
     boundary_point,
@@ -151,17 +155,8 @@ def _arc_closure(col: Coloring, p1: Point2, p2: Point2) -> tuple[Segment, ...]:
 
 
 def _triangle_edges(col: Coloring, tri: tuple[int, int, int]) -> tuple[int, ...]:
-    v1, v2, v3 = tri
-    eids = []
-    for eid in self_edges(col, v1) + self_edges(col, v2):
-        a, b = col.edges[eid]
-        if {a, b} <= set(tri) and eid not in eids:
-            eids.append(eid)
-    return tuple(sorted(eids))
-
-
-def self_edges(col: Coloring, vid: int) -> list[int]:
-    return list(col.vertices[vid].edges)
+    v1, v2, _ = tri  # every vertex of a triangle has degree 2
+    return tuple(sorted(set(col.vertices[v1].edges) | set(col.vertices[v2].edges)))
 
 
 def _edge_between(col: Coloring, a: int, b: int) -> int | None:
@@ -169,109 +164,6 @@ def _edge_between(col: Coloring, a: int, b: int) -> int | None:
         if col.other_endpoint(eid, a) == b:
             return eid
     return None
-
-
-# ---------------------------------------------------------------------------
-# proposers
-
-
-def propose_triangle_birth(col: Coloring, rng: np.random.Generator,
-                           mp: MoveParams) -> Proposal | None:
-    w = col.window
-    pts = [Point2(w.xmin + rng.random() * w.width, w.ymin + rng.random() * w.height)
-           for _ in range(3)]
-    edit = Edit(
-        new_vertices=tuple((-(i + 1), p.x, p.y, INTERIOR) for i, p in enumerate(pts)),
-        added_edges=((-1, -2), (-2, -3), (-3, -1)))
-    log_f = (mp.log_weight("triangle_birth") + math.log(6.0)
-             - 3.0 * math.log(w.area))
-    n_tri_post = len(list_triangles(col)) + 1
-    log_r = mp.log_weight("triangle_death") - math.log(n_tri_post)
-    return Proposal("triangle_birth", edit, log_f, log_r)
-
-
-def propose_triangle_death(col: Coloring, rng: np.random.Generator,
-                           mp: MoveParams) -> Proposal | None:
-    tris = list_triangles(col)
-    if not tris:
-        return None
-    tri = tris[int(rng.integers(len(tris)))]
-    edit = Edit(removed_edges=_triangle_edges(col, tri))
-    log_f = mp.log_weight("triangle_death") - math.log(len(tris))
-    log_r = (mp.log_weight("triangle_birth") + math.log(6.0)
-             - 3.0 * math.log(col.window.area))
-    return Proposal("triangle_death", edit, log_f, log_r)
-
-
-def propose_wedge_birth(col: Coloring, rng: np.random.Generator,
-                        mp: MoveParams) -> Proposal | None:
-    w = col.window
-    P = w.perimeter
-    b1 = boundary_point(w, rng.random() * P)
-    b2 = boundary_point(w, rng.random() * P)
-    apex = Point2(w.xmin + rng.random() * w.width, w.ymin + rng.random() * w.height)
-    if b1 == b2:
-        return None
-    edit = Edit(
-        new_vertices=((-1, b1.x, b1.y, BOUNDARY), (-2, apex.x, apex.y, INTERIOR),
-                      (-3, b2.x, b2.y, BOUNDARY)),
-        added_edges=((-1, -2), (-2, -3)),
-        closure=_arc_closure(col, b1, b2))
-    log_f = (mp.log_weight("wedge_birth") + math.log(2.0)
-             - 2.0 * math.log(P) - math.log(w.area))
-    log_r = mp.log_weight("wedge_death") - math.log(len(list_wedges(col)) + 1)
-    return Proposal("wedge_birth", edit, log_f, log_r)
-
-
-def propose_wedge_death(col: Coloring, rng: np.random.Generator,
-                        mp: MoveParams) -> Proposal | None:
-    wedges = list_wedges(col)
-    if not wedges:
-        return None
-    apex = wedges[int(rng.integers(len(wedges)))]
-    e1, e2 = col.vertices[apex].edges
-    b1 = col.vertices[col.other_endpoint(e1, apex)].point
-    b2 = col.vertices[col.other_endpoint(e2, apex)].point
-    edit = Edit(removed_edges=tuple(sorted((e1, e2))),
-                closure=_arc_closure(col, b1, b2))
-    w = col.window
-    log_f = mp.log_weight("wedge_death") - math.log(len(wedges))
-    log_r = (mp.log_weight("wedge_birth") + math.log(2.0)
-             - 2.0 * math.log(w.perimeter) - math.log(w.area))
-    return Proposal("wedge_death", edit, log_f, log_r)
-
-
-def propose_chord_birth(col: Coloring, rng: np.random.Generator,
-                        mp: MoveParams) -> Proposal | None:
-    w = col.window
-    P = w.perimeter
-    b1 = boundary_point(w, rng.random() * P)
-    b2 = boundary_point(w, rng.random() * P)
-    if b1 == b2:
-        return None
-    edit = Edit(
-        new_vertices=((-1, b1.x, b1.y, BOUNDARY), (-2, b2.x, b2.y, BOUNDARY)),
-        added_edges=((-1, -2),),
-        closure=_arc_closure(col, b1, b2))
-    log_f = mp.log_weight("chord_birth") + math.log(2.0) - 2.0 * math.log(P)
-    log_r = mp.log_weight("chord_death") - math.log(len(list_chords(col)) + 1)
-    return Proposal("chord_birth", edit, log_f, log_r)
-
-
-def propose_chord_death(col: Coloring, rng: np.random.Generator,
-                        mp: MoveParams) -> Proposal | None:
-    chords = list_chords(col)
-    if not chords:
-        return None
-    eid = chords[int(rng.integers(len(chords)))]
-    v1, v2 = col.edges[eid]
-    edit = Edit(removed_edges=(eid,),
-                closure=_arc_closure(col, col.vertices[v1].point,
-                                     col.vertices[v2].point))
-    log_f = mp.log_weight("chord_death") - math.log(len(chords))
-    log_r = (mp.log_weight("chord_birth") + math.log(2.0)
-             - 2.0 * math.log(col.window.perimeter))
-    return Proposal("chord_death", edit, log_f, log_r)
 
 
 def _in_kink_rect(v: Point2, a: Point2, b: Point2, area: float) -> bool:
@@ -288,13 +180,237 @@ def _in_kink_rect(v: Point2, a: Point2, b: Point2, area: float) -> bool:
     return perp <= 0.5 * area / L
 
 
+# ---------------------------------------------------------------------------
+# constructors: drawn arguments in, Proposal with both densities out
+
+
+def _log_pick(mp: MoveParams, kind: str, n: int) -> float:
+    """Choose the kind, then one of n items uniformly."""
+    return mp.log_weight(kind) - math.log(n)
+
+
+def _log_birth(mp: MoveParams, kind: str, w: Rect) -> float:
+    """Density of a born component's unordered points (triangle, wedge, chord)."""
+    if kind == "triangle_birth":
+        return mp.log_weight(kind) + math.log(6.0) - 3.0 * math.log(w.area)
+    if kind == "wedge_birth":
+        return (mp.log_weight(kind) + math.log(2.0)
+                - 2.0 * math.log(w.perimeter) - math.log(w.area))
+    return mp.log_weight(kind) + math.log(2.0) - 2.0 * math.log(w.perimeter)
+
+
+def _birth(col: Coloring, mp: MoveParams, kind: str, edit: Edit,
+           n_present: int) -> Proposal:
+    """A birth beside n_present components; its death picks 1 of n_present + 1."""
+    return Proposal(kind, edit, _log_birth(mp, kind, col.window),
+                    _log_pick(mp, INVERSE_KIND[kind], n_present + 1))
+
+
+def _death(col: Coloring, mp: MoveParams, kind: str, edit: Edit,
+           n_present: int) -> Proposal:
+    return Proposal(kind, edit, _log_pick(mp, kind, n_present),
+                    _log_birth(mp, INVERSE_KIND[kind], col.window))
+
+
+def _triangle_birth(col: Coloring, mp: MoveParams, pts) -> Proposal:
+    edit = Edit(
+        new_vertices=tuple((-(i + 1), p.x, p.y, INTERIOR) for i, p in enumerate(pts)),
+        added_edges=((-1, -2), (-2, -3), (-3, -1)))
+    return _birth(col, mp, "triangle_birth", edit, len(list_triangles(col)))
+
+
+def _triangle_death(col: Coloring, mp: MoveParams, tri: tuple[int, int, int],
+                    n_tris: int) -> Proposal:
+    edit = Edit(removed_edges=_triangle_edges(col, tri))
+    return _death(col, mp, "triangle_death", edit, n_tris)
+
+
+def _wedge_birth(col: Coloring, mp: MoveParams, b1: Point2, apex: Point2,
+                 b2: Point2) -> Proposal:
+    edit = Edit(
+        new_vertices=((-1, b1.x, b1.y, BOUNDARY), (-2, apex.x, apex.y, INTERIOR),
+                      (-3, b2.x, b2.y, BOUNDARY)),
+        added_edges=((-1, -2), (-2, -3)),
+        closure=_arc_closure(col, b1, b2))
+    return _birth(col, mp, "wedge_birth", edit, len(list_wedges(col)))
+
+
+def _wedge_death(col: Coloring, mp: MoveParams, apex: int,
+                 n_wedges: int) -> Proposal:
+    e1, e2 = col.vertices[apex].edges
+    b1 = col.vertices[col.other_endpoint(e1, apex)].point
+    b2 = col.vertices[col.other_endpoint(e2, apex)].point
+    edit = Edit(removed_edges=tuple(sorted((e1, e2))),
+                closure=_arc_closure(col, b1, b2))
+    return _death(col, mp, "wedge_death", edit, n_wedges)
+
+
+def _chord_birth(col: Coloring, mp: MoveParams, b1: Point2, b2: Point2) -> Proposal:
+    edit = Edit(
+        new_vertices=((-1, b1.x, b1.y, BOUNDARY), (-2, b2.x, b2.y, BOUNDARY)),
+        added_edges=((-1, -2),),
+        closure=_arc_closure(col, b1, b2))
+    return _birth(col, mp, "chord_birth", edit, len(list_chords(col)))
+
+
+def _chord_death(col: Coloring, mp: MoveParams, eid: int, n_chords: int) -> Proposal:
+    v1, v2 = col.edges[eid]
+    edit = Edit(removed_edges=(eid,),
+                closure=_arc_closure(col, col.vertices[v1].point,
+                                     col.vertices[v2].point))
+    return _death(col, mp, "chord_death", edit, n_chords)
+
+
+def _log_kink_birth(mp: MoveParams, n_edges: int) -> float:
+    """Choose one of n_edges, then a point of its kink_area rectangle."""
+    return _log_pick(mp, "kink_birth", n_edges) - math.log(mp.kink_area)
+
+
+def _kink_birth(col: Coloring, mp: MoveParams, eid: int, u: Point2) -> Proposal:
+    v1, v2 = col.edges[eid]
+    edit = Edit(removed_edges=(eid,),
+                new_vertices=((-1, u.x, u.y, INTERIOR),),
+                added_edges=((v1, -1), (-1, v2)))
+    return Proposal("kink_birth", edit, _log_kink_birth(mp, len(col.edge_ids)),
+                    _log_pick(mp, "kink_death", len(col.interior_ids) + 1))
+
+
+def _kink_death(col: Coloring, mp: MoveParams, vid: int) -> Proposal | None:
+    e1, e2 = col.vertices[vid].edges
+    a = col.other_endpoint(e1, vid)
+    b = col.other_endpoint(e2, vid)
+    if _edge_between(col, a, b) is not None:
+        return None  # would duplicate an existing edge (e.g. a triangle side)
+    if not _in_kink_rect(col.vertices[vid].point, col.vertices[a].point,
+                         col.vertices[b].point, mp.kink_area):
+        return None  # outside the support of the reverse kink placement
+    edit = Edit(removed_edges=tuple(sorted((e1, e2))), added_edges=((a, b),))
+    return Proposal("kink_death", edit,
+                    _log_pick(mp, "kink_death", len(col.interior_ids)),
+                    _log_kink_birth(mp, len(col.edge_ids) - 1))
+
+
+def _relocate(col: Coloring, mp: MoveParams, vid: int, new: Point2) -> Proposal:
+    edit = Edit(moved=((vid, new.x, new.y),))
+    dens = (_log_pick(mp, "relocate", len(col.interior_ids))
+            - math.log(math.pi * mp.relocate_radius ** 2))
+    return Proposal("relocate", edit, dens, dens)
+
+
+def _boundary_slide(col: Coloring, mp: MoveParams, vid: int, new: Point2) -> Proposal:
+    # The recolored sliver is bounded by the old edge, the new edge, and the
+    # boundary arc the vertex slid along; close the loop along that arc so the
+    # anchor-flip parity test sees a closed curve.
+    edit = Edit(moved=((vid, new.x, new.y),),
+                closure=_arc_closure(col, col.vertices[vid].point, new))
+    dens = (_log_pick(mp, "boundary_slide", len(col.boundary_ids))
+            - math.log(2.0 * mp.boundary_slide_delta))
+    return Proposal("boundary_slide", edit, dens, dens)
+
+
+def _edge_slide_densities(col: Coloring, mp: MoveParams, L: float,
+                          L2: float) -> tuple[float, float]:
+    """Log densities of a slide taking the slid edge from length L to L2, and back."""
+    base = _log_pick(mp, "edge_slide", len(col.interior_ids)) - math.log(2.0)
+    return base - math.log(1.5 * L), base - math.log(1.5 * L2)
+
+
+def _recolor(col: Coloring, mp: MoveParams, kind: str, e1: int, e2: int,
+             added: tuple[tuple[int, int], tuple[int, int]],
+             co1: list[int] | None = None) -> Proposal | None:
+    """Swap edges e1, e2 for the two edges ``added``.
+
+    recolor_pair draws e1 and e2 from all edges.  recolor_local draws e2
+    from co1, the co-occupants of e1, and its reverse needs the new pair to
+    share a grid cell.
+    """
+    for x, y in added:
+        if _edge_between(col, x, y) is not None:
+            return None
+    edit = Edit(removed_edges=tuple(sorted((e1, e2))), added_edges=added)
+    n = len(col.edge_ids)
+    if kind == "recolor_pair":
+        dens = _log_pick(mp, kind, n) - math.log(n - 1)
+        return Proposal(kind, edit, dens, dens)
+    if e2 not in co1:
+        return None  # e2 cannot be drawn beside e1
+    co2 = col.co_occupant_edges(e2)
+    segs = (Segment(col.vertices[x].point, col.vertices[y].point) for x, y in added)
+    cells1, cells2 = (set(grid_trace_segment(f, col.grid)) for f in segs)
+    if not (cells1 & cells2):
+        return None  # the new pair would not co-occupy; reverse impossible
+    # co-occupant counts of the new edges once e1, e2 are gone, each other included
+    n1, n2 = (len(col.index.edges_in_cells(c) - {e1, e2}) + 1 for c in (cells1, cells2))
+    base = _log_pick(mp, kind, n) - math.log(2.0)
+    return Proposal(kind, edit, base + math.log(1.0 / len(co1) + 1.0 / len(co2)),
+                    base + math.log(1.0 / n1 + 1.0 / n2))
+
+
+# ---------------------------------------------------------------------------
+# proposers: draw the constructor's arguments from rng
+
+
+def propose_triangle_birth(col: Coloring, rng: np.random.Generator,
+                           mp: MoveParams) -> Proposal | None:
+    w = col.window
+    pts = [Point2(w.xmin + rng.random() * w.width, w.ymin + rng.random() * w.height)
+           for _ in range(3)]
+    return _triangle_birth(col, mp, pts)
+
+
+def propose_triangle_death(col: Coloring, rng: np.random.Generator,
+                           mp: MoveParams) -> Proposal | None:
+    tris = list_triangles(col)
+    if not tris:
+        return None
+    return _triangle_death(col, mp, tris[int(rng.integers(len(tris)))], len(tris))
+
+
+def propose_wedge_birth(col: Coloring, rng: np.random.Generator,
+                        mp: MoveParams) -> Proposal | None:
+    w = col.window
+    P = w.perimeter
+    b1 = boundary_point(w, rng.random() * P)
+    b2 = boundary_point(w, rng.random() * P)
+    apex = Point2(w.xmin + rng.random() * w.width, w.ymin + rng.random() * w.height)
+    if b1 == b2:
+        return None
+    return _wedge_birth(col, mp, b1, apex, b2)
+
+
+def propose_wedge_death(col: Coloring, rng: np.random.Generator,
+                        mp: MoveParams) -> Proposal | None:
+    wedges = list_wedges(col)
+    if not wedges:
+        return None
+    return _wedge_death(col, mp, wedges[int(rng.integers(len(wedges)))], len(wedges))
+
+
+def propose_chord_birth(col: Coloring, rng: np.random.Generator,
+                        mp: MoveParams) -> Proposal | None:
+    w = col.window
+    P = w.perimeter
+    b1 = boundary_point(w, rng.random() * P)
+    b2 = boundary_point(w, rng.random() * P)
+    if b1 == b2:
+        return None
+    return _chord_birth(col, mp, b1, b2)
+
+
+def propose_chord_death(col: Coloring, rng: np.random.Generator,
+                        mp: MoveParams) -> Proposal | None:
+    chords = list_chords(col)
+    if not chords:
+        return None
+    return _chord_death(col, mp, chords[int(rng.integers(len(chords)))], len(chords))
+
+
 def propose_kink_birth(col: Coloring, rng: np.random.Generator,
                        mp: MoveParams) -> Proposal | None:
     if len(col.edge_ids) == 0:
         return None
     eid = col.edge_ids.pick(rng)
-    seg = col.segment_of(eid)
-    a, b = seg
+    a, b = col.segment_of(eid)
     ex, ey = b.x - a.x, b.y - a.y
     L = math.hypot(ex, ey)
     t = rng.random()
@@ -302,35 +418,14 @@ def propose_kink_birth(col: Coloring, rng: np.random.Generator,
     # unit normal of the edge
     nx, ny = -ey / L, ex / L
     u = Point2(a.x + t * ex + off * nx, a.y + t * ey + off * ny)
-    v1, v2 = col.edges[eid]
-    edit = Edit(removed_edges=(eid,),
-                new_vertices=((-1, u.x, u.y, INTERIOR),),
-                added_edges=((v1, -1), (-1, v2)))
-    log_f = (mp.log_weight("kink_birth") - math.log(len(col.edge_ids))
-             - math.log(mp.kink_area))
-    log_r = mp.log_weight("kink_death") - math.log(len(col.interior_ids) + 1)
-    return Proposal("kink_birth", edit, log_f, log_r)
+    return _kink_birth(col, mp, eid, u)
 
 
 def propose_kink_death(col: Coloring, rng: np.random.Generator,
                        mp: MoveParams) -> Proposal | None:
     if len(col.interior_ids) == 0:
         return None
-    vid = col.interior_ids.pick(rng)
-    e1, e2 = col.vertices[vid].edges
-    a = col.other_endpoint(e1, vid)
-    b = col.other_endpoint(e2, vid)
-    if _edge_between(col, a, b) is not None:
-        return None  # would duplicate an existing edge (e.g. a triangle side)
-    pa = col.vertices[a].point
-    pb = col.vertices[b].point
-    if not _in_kink_rect(col.vertices[vid].point, pa, pb, mp.kink_area):
-        return None  # outside the support of the reverse kink placement
-    edit = Edit(removed_edges=tuple(sorted((e1, e2))), added_edges=((a, b),))
-    log_f = mp.log_weight("kink_death") - math.log(len(col.interior_ids))
-    log_r = (mp.log_weight("kink_birth") - math.log(len(col.edge_ids) - 1)
-             - math.log(mp.kink_area))
-    return Proposal("kink_death", edit, log_f, log_r)
+    return _kink_death(col, mp, col.interior_ids.pick(rng))
 
 
 def propose_relocate(col: Coloring, rng: np.random.Generator,
@@ -341,11 +436,7 @@ def propose_relocate(col: Coloring, rng: np.random.Generator,
     v = col.vertices[vid]
     r = mp.relocate_radius * math.sqrt(rng.random())
     ang = rng.random() * 2.0 * math.pi
-    new = Point2(v.x + r * math.cos(ang), v.y + r * math.sin(ang))
-    edit = Edit(moved=((vid, new.x, new.y),))
-    dens = (mp.log_weight("relocate") - math.log(len(col.interior_ids))
-            - math.log(math.pi * mp.relocate_radius ** 2))
-    return Proposal("relocate", edit, dens, dens)
+    return _relocate(col, mp, vid, Point2(v.x + r * math.cos(ang), v.y + r * math.sin(ang)))
 
 
 def propose_boundary_slide(col: Coloring, rng: np.random.Generator,
@@ -353,18 +444,9 @@ def propose_boundary_slide(col: Coloring, rng: np.random.Generator,
     if len(col.boundary_ids) == 0:
         return None
     vid = col.boundary_ids.pick(rng)
-    v = col.vertices[vid]
-    s = boundary_arclength(col.window, v.point)
+    s = boundary_arclength(col.window, col.vertices[vid].point)
     s2 = (s + (rng.random() * 2.0 - 1.0) * mp.boundary_slide_delta) % col.window.perimeter
-    new = boundary_point(col.window, s2)
-    # The recolored sliver is bounded by the old edge, the new edge, and the
-    # boundary arc the vertex slid along; close the loop along that arc so the
-    # anchor-flip parity test sees a closed curve.
-    edit = Edit(moved=((vid, new.x, new.y),),
-                closure=_arc_closure(col, v.point, new))
-    dens = (mp.log_weight("boundary_slide") - math.log(len(col.boundary_ids))
-            - math.log(2.0 * mp.boundary_slide_delta))
-    return Proposal("boundary_slide", edit, dens, dens)
+    return _boundary_slide(col, mp, vid, boundary_point(col.window, s2))
 
 
 def propose_edge_slide(col: Coloring, rng: np.random.Generator,
@@ -380,12 +462,8 @@ def propose_edge_slide(col: Coloring, rng: np.random.Generator,
     L = math.hypot(ex, ey)
     t = rng.random() * 1.5 - 0.5  # in [-1/2, 1]
     new = Point2(v.x + t * ex, v.y + t * ey)
-    L2 = (1.0 + t) * L
-    edit = Edit(moved=((vid, new.x, new.y),))
-    base = mp.log_weight("edge_slide") - math.log(len(col.interior_ids)) - math.log(2.0)
-    log_f = base - math.log(1.5 * L)
-    log_r = base - math.log(1.5 * L2)
-    return Proposal("edge_slide", edit, log_f, log_r)
+    log_f, log_r = _edge_slide_densities(col, mp, L, (1.0 + t) * L)
+    return Proposal("edge_slide", Edit(moved=((vid, new.x, new.y),)), log_f, log_r)
 
 
 def _pair_targets(col: Coloring, e1: int, e2: int, psi: int):
@@ -400,72 +478,31 @@ def _pair_targets(col: Coloring, e1: int, e2: int, psi: int):
 
 def propose_recolor_pair(col: Coloring, rng: np.random.Generator,
                          mp: MoveParams) -> Proposal | None:
-    n = len(col.edge_ids)
-    if n < 2:
+    if len(col.edge_ids) < 2:
         return None
     e1 = col.edge_ids.pick(rng)
     e2 = col.edge_ids.pick(rng)
     while e2 == e1:
         e2 = col.edge_ids.pick(rng)
-    psi = int(rng.integers(2))
-    added = _pair_targets(col, e1, e2, psi)
+    added = _pair_targets(col, e1, e2, int(rng.integers(2)))
     if added is None:
         return None
-    for x, y in added:
-        if _edge_between(col, x, y) is not None:
-            return None
-    edit = Edit(removed_edges=tuple(sorted((e1, e2))), added_edges=added)
-    dens = (mp.log_weight("recolor_pair") - math.log(n) - math.log(n - 1))
-    return Proposal("recolor_pair", edit, dens, dens)
-
-
-def _virtual_co_size(col: Coloring, seg: Segment, removed: set[int],
-                     partner_cells: set[tuple[int, int]] | None):
-    """Co-occupant count of a not-yet-inserted edge, and its cell set."""
-    cells = set(grid_trace_segment(seg, col.grid))
-    occupants = col.index.edges_in_cells(cells) - removed
-    n = len(occupants)
-    if partner_cells is not None and cells & partner_cells:
-        n += 1
-    return n, cells
+    return _recolor(col, mp, "recolor_pair", e1, e2, added)
 
 
 def propose_recolor_local(col: Coloring, rng: np.random.Generator,
                           mp: MoveParams) -> Proposal | None:
-    n = len(col.edge_ids)
-    if n < 2:
+    if len(col.edge_ids) < 2:
         return None
     e1 = col.edge_ids.pick(rng)
     co1 = col.co_occupant_edges(e1)
     if not co1:
         return None
     e2 = co1[int(rng.integers(len(co1)))]
-    co2 = col.co_occupant_edges(e2)
-    psi = int(rng.integers(2))
-    added = _pair_targets(col, e1, e2, psi)
+    added = _pair_targets(col, e1, e2, int(rng.integers(2)))
     if added is None:
         return None
-    for x, y in added:
-        if _edge_between(col, x, y) is not None:
-            return None
-    edit = Edit(removed_edges=tuple(sorted((e1, e2))), added_edges=added)
-
-    def pos(vid):
-        return col.vertices[vid].point
-
-    f1 = Segment(pos(added[0][0]), pos(added[0][1]))
-    f2 = Segment(pos(added[1][0]), pos(added[1][1]))
-    removed = {e1, e2}
-    n1, cells1 = _virtual_co_size(col, f1, removed, None)
-    n2, cells2 = _virtual_co_size(col, f2, removed, cells1)
-    if not (cells1 & cells2):
-        return None  # the new pair would not co-occupy; reverse impossible
-    n1 += 1  # f2 shares a cell with f1 (just established)
-    log_f = (mp.log_weight("recolor_local") - math.log(n) - math.log(2.0)
-             + math.log(1.0 / len(co1) + 1.0 / len(co2)))
-    log_r = (mp.log_weight("recolor_local") - math.log(n) - math.log(2.0)
-             + math.log(1.0 / n1 + 1.0 / n2))
-    return Proposal("recolor_local", edit, log_f, log_r)
+    return _recolor(col, mp, "recolor_local", e1, e2, added, co1)
 
 
 PROPOSERS = {
@@ -506,138 +543,66 @@ def propose(col: Coloring, rng: np.random.Generator,
 
 
 def build_inverse(post: Coloring, prop: Proposal, result: ApplyResult,
-                  mp: MoveParams) -> Proposal:
-    """Proposal that undoes an applied one, densities recomputed from post."""
+                  mp: MoveParams) -> Proposal | None:
+    """Proposal that undoes an applied one, from the post state.
+
+    Reads the inverse kind's arguments off ``post`` and ``result`` and calls
+    that kind's constructor, so densities and support checks are the
+    chain's own; None means the undoing edit lies outside that support.
+    """
     kind = prop.kind
     token = result.token
-    if kind in ("triangle_birth", "wedge_birth", "chord_birth"):
-        return _inverse_birth(post, prop, result, mp)
-    if kind in ("triangle_death", "wedge_death", "chord_death"):
-        return _inverse_death(post, prop, result, mp)
-    if kind == "kink_birth":
-        (eid_rm, v1, v2) = token.removed_edge_records[0]
-        edit = Edit(removed_edges=tuple(sorted(result.added_edge_ids)),
-                    added_edges=((v1, v2),))
-        log_f = mp.log_weight("kink_death") - math.log(len(post.interior_ids))
-        log_r = (mp.log_weight("kink_birth") - math.log(len(post.edge_ids) - 1)
-                 - math.log(mp.kink_area))
-        return Proposal("kink_death", edit, log_f, log_r)
-    if kind == "kink_death":
-        (vid, x, y, vkind) = token.deleted_vertex_records[0]
-        (new_eid,) = result.added_edge_ids
-        a, b = post.edges[new_eid]
-        edit = Edit(removed_edges=(new_eid,),
-                    new_vertices=((-1, x, y, vkind),),
-                    added_edges=((a, -1), (-1, b)))
-        log_f = (mp.log_weight("kink_birth") - math.log(len(post.edge_ids))
-                 - math.log(mp.kink_area))
-        log_r = mp.log_weight("kink_death") - math.log(len(post.interior_ids) + 1)
-        return Proposal("kink_birth", edit, log_f, log_r)
-    if kind in ("relocate", "boundary_slide", "edge_slide"):
-        (vid, ox, oy) = token.moved_old[0]
-        edit = Edit(moved=((vid, ox, oy),))
-        if kind == "relocate":
-            dens = (mp.log_weight("relocate") - math.log(len(post.interior_ids))
-                    - math.log(math.pi * mp.relocate_radius ** 2))
-            return Proposal(kind, edit, dens, dens)
-        if kind == "boundary_slide":
-            cur = post.vertices[vid].point
-            edit = Edit(moved=((vid, ox, oy),),
-                        closure=_arc_closure(post, cur, Point2(ox, oy)))
-            dens = (mp.log_weight("boundary_slide") - math.log(len(post.boundary_ids))
-                    - math.log(2.0 * mp.boundary_slide_delta))
-            return Proposal(kind, edit, dens, dens)
-        # edge_slide: lengths from the post and restored positions; the slid
-        # edge is the incident edge collinear with the motion (smallest cross)
-        v = post.vertices[vid]
-        best = None
-        for eid in v.edges:
-            wpt = post.vertices[post.other_endpoint(eid, vid)].point
-            cur = math.hypot(v.x - wpt.x, v.y - wpt.y)
-            old = math.hypot(ox - wpt.x, oy - wpt.y)
-            cross = abs((v.x - wpt.x) * (oy - wpt.y) - (v.y - wpt.y) * (ox - wpt.x))
-            score = cross / max(cur * old, 1e-300)
-            if best is None or score < best[0]:
-                best = (score, cur, old)
-        assert best is not None and best[0] < 1e-6, \
-            "slide inverse: no collinear incident edge"
-        _, L_post, L_pre = best
-        base = (mp.log_weight("edge_slide") - math.log(len(post.interior_ids))
-                - math.log(2.0))
-        return Proposal(kind, edit, base - math.log(1.5 * L_post),
-                        base - math.log(1.5 * L_pre))
-    if kind in ("recolor_pair", "recolor_local"):
-        recs = token.removed_edge_records
-        edit = Edit(removed_edges=tuple(sorted(result.added_edge_ids)),
-                    added_edges=tuple((v1, v2) for _, v1, v2 in recs))
-        n = len(post.edge_ids)
-        if kind == "recolor_pair":
-            dens = mp.log_weight("recolor_pair") - math.log(n) - math.log(n - 1)
-            return Proposal(kind, edit, dens, dens)
-        f1, f2 = result.added_edge_ids
-        co_f1 = post.co_occupant_edges(f1)
-        co_f2 = post.co_occupant_edges(f2)
-        assert f2 in co_f1 and f1 in co_f2
-        log_f = (mp.log_weight("recolor_local") - math.log(n) - math.log(2.0)
-                 + math.log(1.0 / len(co_f1) + 1.0 / len(co_f2)))
-        removed = set(result.added_edge_ids)
-        g1 = Segment(post.vertices[recs[0][1]].point, post.vertices[recs[0][2]].point)
-        g2 = Segment(post.vertices[recs[1][1]].point, post.vertices[recs[1][2]].point)
-        n1, cells1 = _virtual_co_size(post, g1, removed, None)
-        n2, cells2 = _virtual_co_size(post, g2, removed, cells1)
-        assert cells1 & cells2, "original pair no longer co-occupies"
-        n1 += 1
-        log_r = (mp.log_weight("recolor_local") - math.log(n) - math.log(2.0)
-                 + math.log(1.0 / n1 + 1.0 / n2))
-        return Proposal(kind, edit, log_f, log_r)
-    raise ValueError(f"unknown kind {kind}")
-
-
-def _inverse_birth(post: Coloring, prop: Proposal, result: ApplyResult,
-                   mp: MoveParams) -> Proposal:
-    kind = INVERSE_KIND[prop.kind]  # the matching death
-    edit = Edit(removed_edges=tuple(sorted(result.added_edge_ids)),
-                closure=prop.edit.closure)
-    w = post.window
-    if kind == "triangle_death":
-        log_f = mp.log_weight(kind) - math.log(len(list_triangles(post)))
-        log_r = (mp.log_weight("triangle_birth") + math.log(6.0)
-                 - 3.0 * math.log(w.area))
-    elif kind == "wedge_death":
-        log_f = mp.log_weight(kind) - math.log(len(list_wedges(post)))
-        log_r = (mp.log_weight("wedge_birth") + math.log(2.0)
-                 - 2.0 * math.log(w.perimeter) - math.log(w.area))
-    else:
-        log_f = mp.log_weight(kind) - math.log(len(list_chords(post)))
-        log_r = (mp.log_weight("chord_birth") + math.log(2.0)
-                 - 2.0 * math.log(w.perimeter))
-    return Proposal(kind, edit, log_f, log_r)
-
-
-def _inverse_death(post: Coloring, prop: Proposal, result: ApplyResult,
-                   mp: MoveParams) -> Proposal:
-    kind = INVERSE_KIND[prop.kind]  # the matching birth
-    token = result.token
-    tmp_of = {}
-    new_vertices = []
-    for i, (vid, x, y, vkind) in enumerate(token.deleted_vertex_records):
-        tmp = -(i + 1)
-        tmp_of[vid] = tmp
-        new_vertices.append((tmp, x, y, vkind))
-    added = []
-    for _, v1, v2 in token.removed_edge_records:
-        added.append((tmp_of.get(v1, v1), tmp_of.get(v2, v2)))
-    edit = Edit(new_vertices=tuple(new_vertices), added_edges=tuple(added),
-                closure=prop.edit.closure)
-    w = post.window
+    new_vid = result.vertex_id_map
+    gone = [(Point2(x, y), vkind) for _, x, y, vkind in token.deleted_vertex_records]
     if kind == "triangle_birth":
-        log_f = (mp.log_weight(kind) + math.log(6.0) - 3.0 * math.log(w.area))
-        log_r = mp.log_weight("triangle_death") - math.log(len(list_triangles(post)) + 1)
-    elif kind == "wedge_birth":
-        log_f = (mp.log_weight(kind) + math.log(2.0)
-                 - 2.0 * math.log(w.perimeter) - math.log(w.area))
-        log_r = mp.log_weight("wedge_death") - math.log(len(list_wedges(post)) + 1)
-    else:
-        log_f = mp.log_weight(kind) + math.log(2.0) - 2.0 * math.log(w.perimeter)
-        log_r = mp.log_weight("chord_death") - math.log(len(list_chords(post)) + 1)
-    return Proposal(kind, edit, log_f, log_r)
+        tri = tuple(sorted(new_vid.values()))
+        return _triangle_death(post, mp, tri, len(list_triangles(post)))
+    if kind == "triangle_death":
+        return _triangle_birth(post, mp, [p for p, _ in gone])
+    if kind == "wedge_birth":
+        return _wedge_death(post, mp, new_vid[-2], len(list_wedges(post)))
+    if kind == "wedge_death":
+        (apex,) = [p for p, vkind in gone if vkind == INTERIOR]
+        b1, b2 = [p for p, vkind in gone if vkind == BOUNDARY]
+        return _wedge_birth(post, mp, b1, apex, b2)
+    if kind == "chord_birth":
+        (eid,) = result.added_edge_ids
+        return _chord_death(post, mp, eid, len(list_chords(post)))
+    if kind == "chord_death":
+        (b1, _), (b2, _) = gone
+        return _chord_birth(post, mp, b1, b2)
+    if kind == "kink_birth":
+        return _kink_death(post, mp, new_vid[-1])
+    if kind == "kink_death":
+        (eid,) = result.added_edge_ids
+        ((u, _),) = gone
+        return _kink_birth(post, mp, eid, u)
+    if kind in ("recolor_pair", "recolor_local"):
+        f1, f2 = result.added_edge_ids
+        added = tuple((v1, v2) for _, v1, v2 in token.removed_edge_records)
+        co1 = post.co_occupant_edges(f1) if kind == "recolor_local" else None
+        return _recolor(post, mp, kind, f1, f2, added, co1)
+    (vid, ox, oy) = token.moved_old[0]
+    if kind == "relocate":
+        return _relocate(post, mp, vid, Point2(ox, oy))
+    if kind == "boundary_slide":
+        return _boundary_slide(post, mp, vid, Point2(ox, oy))
+    if kind != "edge_slide":
+        raise ValueError(f"unknown kind {kind}")
+    # edge_slide: the slid edge is the incident edge collinear with the
+    # motion (smallest cross); its length goes back from post to pre
+    v = post.vertices[vid]
+    best = None
+    for eid in v.edges:
+        wpt = post.vertices[post.other_endpoint(eid, vid)].point
+        cur = math.hypot(v.x - wpt.x, v.y - wpt.y)
+        old = math.hypot(ox - wpt.x, oy - wpt.y)
+        cross = abs((v.x - wpt.x) * (oy - wpt.y) - (v.y - wpt.y) * (ox - wpt.x))
+        score = cross / max(cur * old, 1e-300)
+        if best is None or score < best[0]:
+            best = (score, cur, old)
+    assert best is not None and best[0] < 1e-6, \
+        "slide inverse: no collinear incident edge"
+    _, L_post, L_pre = best
+    log_f, log_r = _edge_slide_densities(post, mp, L_post, L_pre)
+    return Proposal(kind, Edit(moved=((vid, ox, oy),)), log_f, log_r)

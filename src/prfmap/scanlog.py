@@ -13,8 +13,9 @@ is 1 when the reading is a max-range miss, else 0.  Per-sensor maximum
 ranges ride in ``# laser_max_range`` / ``# sonar_max_range`` headers so
 readings round-trip without repeating the limit on every line.
 Unrecognized ``#`` lines are comments.  Malformed records, non-finite
-numbers, an empty or inverted window, a non-positive maximum range and
-readings the observation records reject raise with their line number.
+numbers, an empty or inverted window, a window after the first record, a
+non-positive maximum range, a position outside the window and readings the
+observation records reject raise with their line number.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import Rect
+from .geometry import Point2, Rect
 from .sensors import LaserObs, PointColorObs, SonarObs
 
 
@@ -84,10 +85,15 @@ def _floats(toks: list[str], lineno: int) -> list[float]:
     return vals
 
 
-def _record(cls, lineno: int, *args):
-    """Construct an observation record, locating its ValueError."""
+def _record(cls, lineno: int, window: Rect | None, x: float, y: float, *args):
+    """Construct an observation record at (x, y), locating its ValueError.
+
+    Once a window is known, the position must lie in it (boundary included).
+    """
+    if window is not None and not window.contains(Point2(x, y)):
+        raise ValueError(f"line {lineno}: position ({x!r}, {y!r}) outside the window")
     try:
-        return cls(*args)
+        return cls(x, y, *args)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
 
@@ -105,6 +111,9 @@ def parse_scanlog(text: str) -> ScanLog:
                 if not (x0 < x1 and y0 < y1):
                     raise ValueError(f"line {lineno}: window must have xmin < xmax "
                                      f"and ymin < ymax, got {toks[2:6]!r}")
+                if log.lasers or log.sonars or log.points:
+                    raise ValueError(f"line {lineno}: window must come before "
+                                     "the first record")
                 log.window = Rect(x0, y0, x1, y1)
             elif len(toks) >= 3 and toks[1] in ("laser_max_range", "sonar_max_range"):
                 r = _floats(toks[2:3], lineno)[0]
@@ -122,7 +131,7 @@ def parse_scanlog(text: str) -> ScanLog:
                 raise ValueError(f"line {lineno}: LASER record before a "
                                  "'# laser_max_range' header")
             t, x, y, h, b, r = _floats(toks[1:7], lineno)
-            log.lasers.append(_record(LaserObs, lineno, x, y, h, b, r,
+            log.lasers.append(_record(LaserObs, lineno, log.window, x, y, h, b, r,
                                       log.laser_max_range,
                                       _parse_flag(toks[7], lineno), t))
         elif kind == "SONAR":
@@ -133,7 +142,7 @@ def parse_scanlog(text: str) -> ScanLog:
                 raise ValueError(f"line {lineno}: SONAR record before a "
                                  "'# sonar_max_range' header")
             t, x, y, h, b, ha, r = _floats(toks[1:8], lineno)
-            log.sonars.append(_record(SonarObs, lineno, x, y, h, b, ha, r,
+            log.sonars.append(_record(SonarObs, lineno, log.window, x, y, h, b, ha, r,
                                       log.sonar_max_range,
                                       _parse_flag(toks[8], lineno), t))
         elif kind == "POINT":
@@ -141,7 +150,7 @@ def parse_scanlog(text: str) -> ScanLog:
                 raise ValueError(f"line {lineno}: POINT needs 6 fields, "
                                  f"got {len(toks) - 1}")
             x, y, v, mb, mw, s = _floats(toks[1:7], lineno)
-            log.points.append(_record(PointColorObs, lineno,
+            log.points.append(_record(PointColorObs, lineno, log.window,
                                       x, y, v, mb, mw, s))
         else:
             raise ValueError(f"line {lineno}: unknown record type {kind!r}")

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from prfmap.baseline import BaselineParams
 from prfmap.cli import main
 from prfmap.config import (
     ENV_CONFIG_PATH,
@@ -17,6 +18,8 @@ from prfmap.config import (
     read_config,
 )
 from prfmap.moves import KIND_ORDER, MoveParams
+from prfmap.prior import PriorParams
+from prfmap.sensors import LaserParams, SonarParams
 
 
 def test_defaults_validate():
@@ -122,7 +125,12 @@ def test_cli_rejects_zero_sim_cell_size(tmp_path, capsys):
 
 
 def test_default_move_params_match_run_config():
-    assert RunConfig().move_params() == MoveParams()
+    cfg = RunConfig()
+    assert cfg.move_params() == MoveParams()
+    assert cfg.prior_params() == PriorParams()
+    assert cfg.laser_params() == LaserParams()
+    assert cfg.sonar_params() == SonarParams()
+    assert cfg.baseline_params() == BaselineParams()
 
 
 def test_views_match_fields():

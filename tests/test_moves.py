@@ -311,6 +311,7 @@ def test_chain_apply_inverse_revert(seed):
     col = Coloring.empty(Rect(0.0, 0.0, 1.5, 1.2))
     mp = MoveParams()
     applied = Counter()
+    inverted = Counter()
     for it in range(600):
         prop = propose(col, rng, mp)
         if prop is None or not col.edit_is_valid(prop.edit):
@@ -321,7 +322,9 @@ def test_chain_apply_inverse_revert(seed):
         stats_pre = col.stats.copy()
         res = col.apply_edit(prop.edit)
         inv = build_inverse(col, prop, res, mp)
+        assert inv is not None, f"{prop.kind} inverse outside its support"
         assert inv.kind == INVERSE_KIND[prop.kind]
+        inverted[prop.kind] += 1
         assert inv.log_forward == pytest.approx(prop.log_reverse, abs=1e-9)
         assert inv.log_reverse == pytest.approx(prop.log_forward, abs=1e-9)
         assert col.edit_is_valid(inv.edit)
@@ -344,6 +347,8 @@ def test_chain_apply_inverse_revert(seed):
     col.validate()
     for kind in ROBUST_KINDS:
         assert applied[kind] > 0, f"chain never applied {kind}: {applied}"
+    for kind in KIND_ORDER:
+        assert inverted[kind] > 0, f"chain never inverted {kind}: {inverted}"
 
 
 def test_chain_covers_every_kind():

@@ -1,17 +1,22 @@
 """Chain mechanics: determinism, incremental trackers, annealing, accumulators."""
 
+import hashlib
 import math
 
 import numpy as np
 
+from prfmap.cli import main, run_posterior_chain
 from prfmap.coloring import Coloring
+from prfmap.config import RunConfig
 from prfmap.geometry import GridSpec, Rect
 from prfmap.moves import MoveParams
 from prfmap.prior import (PriorParams, expected_edge_count_unit_square,
                           log_prior_from_stats)
+from prfmap.raster import write_pgm
 from prfmap.sampler import (OccupancyAccumulator, PointColorTracker,
                             RasterTracker, Sampler, all_white_cells, anneal,
                             run_chain)
+from prfmap.scanlog import read_scanlog
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -38,6 +43,20 @@ def test_same_seed_same_trajectory():
     assert t1 == t2
     t3 = trace(41)
     assert t3[0] != t1[0]
+
+
+def test_move_stream_is_pinned():
+    # Any change to a proposal density, a draw or its order changes log_alpha
+    # and so this digest; a change of the stream on purpose updates it.
+    s = Sampler(Coloring.empty(Rect(0, 0, 1.5, 1.2)), PriorParams(intensity=0.5),
+                MoveParams(), np.random.default_rng(2024))
+    rows = []
+    for _ in range(5_000):
+        info = s.step()
+        rows.append((info.kind, info.applied, info.accepted, info.log_alpha))
+    assert sum(r[1] for r in rows) == 2_190
+    assert sum(r[2] for r in rows) == 1_105
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "1091bffac5ba8664"
 
 
 def test_tally_accounting():
@@ -190,6 +209,32 @@ def test_accumulator_merge_commutes():
     assert (ab.black <= ab.samples).all()
     assert (ab.white_cells <= ab.samples).all()
     del rng
+
+
+def test_sample_with_two_chains_writes_the_merged_accumulators(tmp_path, monkeypatch):
+    monkeypatch.delenv("PRFMAP_CONFIG", raising=False)
+    log_path = tmp_path / "points.log"
+    log_path.write_text("# scanlog v1\n# window 0 0 1 1\n" + "".join(
+        f"POINT {x} {y} {1.0 if x < 0.5 else 0.0} 1 0 0.3\n"
+        for x in (0.1, 0.3, 0.5, 0.7, 0.9) for y in (0.1, 0.5, 0.9)))
+    cfg = RunConfig(proposals=400, burn_in=100, sample_every=20, cell_size=0.25,
+                    chains=2)
+    out = str(tmp_path / "out")
+    assert main(["sample", "--log", str(log_path), "--out", out, "--chains", "2",
+                 "--proposals", "400", "--burn-in", "100", "--sample-every", "20",
+                 "--cell-size", "0.25"]) == 0
+
+    log = read_scanlog(str(log_path))
+    acc = run_posterior_chain(log, cfg, 0)[0].merge(run_posterior_chain(log, cfg, 1)[0])
+    assert acc.samples == 2 * 15
+    ref = str(tmp_path / "ref")
+    write_pgm(ref + "_black.pgm", acc.mean(), acc.grid)
+    write_pgm(ref + "_allwhite.pgm", 1.0 - acc.all_white_fraction(), acc.grid)
+    for name in ("_black.pgm", "_allwhite.pgm"):
+        with open(out + name, "rb") as got, open(ref + name, "rb") as want:
+            assert got.read() == want.read(), name
+        with open(out + name + ".meta", encoding="utf-8") as fh:
+            assert f"samples {acc.samples}\n" in fh.read()
 
 
 def test_all_white_cells_against_geometry():

@@ -123,9 +123,18 @@ def test_non_finite_number_errors_with_line_number(text):
     ("# scanlog v1\n# window 0 2 3 2\n", "window"),
     ("# scanlog v1\n# laser_max_range -2\n", "laser_max_range"),
     ("# scanlog v1\n# sonar_max_range 0\n", "sonar_max_range"),
+    ("# window 0 0 1 1\nPOINT 1.0001 1 0.2 1 0 0.3\n",
+     r"position \(1.0001, 1.0\) outside the window"),
+    ("# window 0 0 1 1\n# laser_max_range 8.0\nLASER 0 1.5 0.5 0 0 1.0 0\n",
+     "outside the window"),
+    ("# sonar_max_range 3.5\n# window 0 0 1 1\nSONAR 0 0.5 -0.1 0 0 0.2 1.0 0\n",
+     "outside the window"),
+    ("# laser_max_range 8.0\nLASER 0 1.5 0.5 0 0 1.0 0\n# window 0 0 1 1\n",
+     "window must come before the first record"),
 ])
 def test_rejected_reading_errors_with_line_number(text, what):
-    with pytest.raises(ValueError, match=f"line 2: .*{what}"):
+    last = text.count("\n")  # every case fails on its last line
+    with pytest.raises(ValueError, match=f"line {last}: .*{what}"):
         parse_scanlog(text)
 
 
