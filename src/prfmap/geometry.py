@@ -73,6 +73,23 @@ class Cone:
     half_angle: float
     max_range: float
 
+    def bbox(self) -> tuple[float, float, float, float]:
+        """Closed box (xmin, ymin, xmax, ymax) holding the circular sector.
+
+        The sector's extremes are among the apex, both arc ends and the arc
+        point in each axis direction that the arc crosses.
+        """
+        ax, ay, r = self.apex.x, self.apex.y, self.max_range
+        xs, ys = [ax], [ay]
+        for a in (self.heading - self.half_angle, self.heading + self.half_angle):
+            xs.append(ax + r * math.cos(a))
+            ys.append(ay + r * math.sin(a))
+        for ux, uy in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
+            if abs(relative_angle(self.heading, ux, uy)) <= self.half_angle:
+                xs.append(ax + r * ux)
+                ys.append(ay + r * uy)
+        return min(xs), min(ys), max(xs), max(ys)
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -7,8 +7,6 @@ bounding box query over-approximates but never misses nearby edges.
 
 from __future__ import annotations
 
-import math
-
 from .geometry import (
     GridSpec,
     Point2,
@@ -106,32 +104,3 @@ class EdgeGridIndex:
             for eid in bucket:
                 assert c in self._edge_cells[eid], f"edge {eid} not tracking cell {c}"
 
-
-def cone_cells(grid: GridSpec, apex: Point2, heading: float,
-               half_angle: float, radius: float) -> list[tuple[int, int]]:
-    """Cells conservatively overlapping a circular sector.
-
-    A cell passes when its rectangle meets the sector's disc and both closed
-    half-planes bounding the wedge (half_angle < pi/2).  This over-covers
-    slightly near the apex but never misses a cell that the true sector
-    touches.
-    """
-    ux_lo, uy_lo = math.cos(heading - half_angle), math.sin(heading - half_angle)
-    ux_hi, uy_hi = math.cos(heading + half_angle), math.sin(heading + half_angle)
-    out = []
-    for (ix, iy) in grid.cells_in_bbox(apex.x - radius, apex.y - radius,
-                                       apex.x + radius, apex.y + radius):
-        r = grid.cell_rect(ix, iy)
-        # nearest point of the rect to the apex within the disc?
-        nx = min(max(apex.x, r.xmin), r.xmax)
-        ny = min(max(apex.y, r.ymin), r.ymax)
-        if (nx - apex.x) ** 2 + (ny - apex.y) ** 2 > radius * radius:
-            continue
-        corners = ((r.xmin, r.ymin), (r.xmin, r.ymax), (r.xmax, r.ymin), (r.xmax, r.ymax))
-        # some corner on the non-negative side of the lower wedge boundary
-        if all(ux_lo * (cy - apex.y) - uy_lo * (cx - apex.x) < 0.0 for cx, cy in corners):
-            continue
-        if all(ux_hi * (cy - apex.y) - uy_hi * (cx - apex.x) > 0.0 for cx, cy in corners):
-            continue
-        out.append((ix, iy))
-    return out

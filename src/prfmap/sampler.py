@@ -27,9 +27,12 @@ class Likelihood(Protocol):
 
     ``delta_for_edit`` is called with the coloring already mutated to the
     post state; it stages internal updates and returns the change in total
-    log likelihood, or None when the post state has zero likelihood.  A
-    return is followed by exactly one ``commit`` (edit accepted) or
-    ``rollback`` (edit rejected, coloring reverted).
+    log likelihood.  A post state of zero likelihood may return either -inf
+    or None.  Both reject the edit, but they differ in the random stream:
+    after -inf the step still draws its uniform, after None it draws
+    nothing.  A float return is followed by exactly one ``commit`` (edit
+    accepted) or ``rollback`` (edit rejected, coloring reverted); after
+    None neither is called, so nothing may stay staged.
     """
 
     def log_likelihood(self) -> float: ...

@@ -14,15 +14,18 @@ Three observation families condition the coloring posterior:
   fixed location.
 
 Any observation model reports -inf when its sensor sits in occupied
-(black) space.
+(black) space.  A sonar cone's candidate edges are those the coloring's
+index holds near :meth:`Cone.bbox`, wherever a cone is evaluated.
 
 :class:`ObservationCache` binds a set of laser and sonar observations to a
 chain: it keeps every observation's log likelihood cached together with its
 current *sensitivity extent* (beam up to the impact point; cone up to the
 farthest contact), and on each proposed edit recomputes only the
-observations whose extent the edit touches or whose sensor position changed
-color.  It keeps no cell index: each changed segment is tested against every
-beam, and against every cone, in one vectorised pass per family.
+observations whose extent the edit touches.  An edit that changes the color
+of any sensor position has likelihood zero and returns -inf before anything
+is evaluated.  The cache keeps no cell index: each changed segment is tested
+against every beam, and against every cone, in one vectorised pass per
+family.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .geometry import (
     unit_vector,
     visibility_sweep,
 )
-from .grid_index import cone_cells
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -209,20 +211,24 @@ def laser_true_distance(col: Coloring, origin: Point2,
     exit distance stands in, capped at ``max_range`` (the window boundary
     itself is a viewing frame, not an obstacle).
     """
-    exit_cap = min(ray_rect_exit(origin, direction, col.window), max_range)
-    hit = col.index.ray_cast(origin, direction, exit_cap, col.segment_of)
+    cap = min(ray_rect_exit(origin, direction, col.window), max_range)
+    hit = col.index.ray_cast(origin, direction, cap, col.segment_of)
     if hit is None:
-        return exit_cap, None
+        return cap, None
     return hit[0], hit[1]
 
 
 def laser_log_likelihood(o: LaserObs, col: Coloring, p: LaserParams) -> float:
-    origin = Point2(o.x, o.y)
-    if col.color_at(origin) == BLACK:
+    if col.color_at(Point2(o.x, o.y)) == BLACK:
         return -math.inf
-    d_star, _ = laser_true_distance(col, origin, beam_direction(o.heading, o.bearing),
-                                    o.max_range)
-    return _laser_density_log(o.range, o.is_max_range, d_star, o.max_range, p)
+    return _laser_eval(o, col, p)[0]
+
+
+def _laser_eval(o: LaserObs, col: Coloring, p: LaserParams) -> tuple[float, float]:
+    """(log likelihood, impact distance) of a beam whose sensor is free."""
+    d_star, _ = laser_true_distance(col, Point2(o.x, o.y),
+                                    beam_direction(o.heading, o.bearing), o.max_range)
+    return _laser_density_log(o.range, o.is_max_range, d_star, o.max_range, p), d_star
 
 
 def _laser_density_log(r: float, flagged: bool, d_star: float,
@@ -231,7 +237,7 @@ def _laser_density_log(r: float, flagged: bool, d_star: float,
             + p.w_uniform / max_range)
     if flagged:
         dens += p.w_maxrange
-    return math.log(dens)
+    return math.log(dens) if dens > 0.0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +246,6 @@ def _laser_density_log(r: float, flagged: bool, d_star: float,
 
 def sonar_cone(o: SonarObs) -> Cone:
     return Cone(Point2(o.x, o.y), o.heading + o.bearing, o.half_angle, o.max_range)
-
-
-def _candidate_segments(col: Coloring, cells) -> list[tuple[int, Segment]]:
-    return [(eid, col.segment_of(eid)) for eid in sorted(col.index.edges_in_cells(cells))]
 
 
 def return_probabilities(features: list[VisibleFeature],
@@ -269,10 +271,9 @@ def sonar_features(o: SonarObs, col: Coloring,
                    params: SonarParams) -> list[tuple[VisibleFeature, float, float]]:
     """Visible features in the cone with their return probabilities."""
     cone = sonar_cone(o)
-    cells = cone_cells(col.grid, cone.apex, cone.heading, cone.half_angle,
-                       cone.max_range)
-    feats = visibility_sweep(_candidate_segments(col, cells), cone)
-    return return_probabilities(feats, params)
+    cands = [(eid, col.segment_of(eid))
+             for eid in sorted(col.index.edges_near_bbox(*cone.bbox()))]
+    return return_probabilities(visibility_sweep(cands, cone), params)
 
 
 def _sonar_density_log(r: float, flagged: bool,
@@ -296,8 +297,14 @@ def _sonar_density_log(r: float, flagged: bool,
 def sonar_log_likelihood(o: SonarObs, col: Coloring, p: SonarParams) -> float:
     if col.color_at(Point2(o.x, o.y)) == BLACK:
         return -math.inf
+    return _sonar_eval(o, col, p)[0]
+
+
+def _sonar_eval(o: SonarObs, col: Coloring, p: SonarParams) -> tuple[float, float]:
+    """(log likelihood, sensitivity radius) of a cone whose sensor is free."""
     triples = sonar_features(o, col, p)
-    return _sonar_density_log(o.range, o.is_max_range, triples, o.max_range, p)
+    ll = _sonar_density_log(o.range, o.is_max_range, triples, o.max_range, p)
+    return ll, _sweep_contact_radius_points(triples, o)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +379,18 @@ class ObservationCache:
     Implements the chain's Likelihood protocol: ``delta_for_edit`` stages
     recomputes for the observations an applied edit could affect — beams
     whose ``[sensor, impact]`` segment lies within ``_TOUCH_EPS`` of a
-    changed segment, cones whose wedge holds a piece of a changed segment
-    within ``_TOUCH_EPS`` of the truncated radius, plus every observation
-    whose sensor position changed color — and ``commit``/``rollback``
-    finalize or discard the staging.  No cell index is kept: each family is
-    tested against every changed segment in one numpy pass.  The
-    construction-time coloring must give every sensor a free (white)
-    position.
+    changed segment, and cones whose wedge holds a piece of a changed
+    segment within ``_TOUCH_EPS`` of the truncated radius — and
+    ``commit``/``rollback`` finalize or discard the staging.  No cell index
+    is kept: each family is tested against every changed segment in one
+    numpy pass, and a re-evaluated cone gathers its candidate edges from the
+    coloring's index by :meth:`Cone.bbox`, as :func:`sonar_features` does.
+
+    The construction-time coloring must give every sensor a free (white)
+    position.  A state with a black sensor has likelihood zero and is never
+    accepted, so every committed state keeps all sensors white: an edit
+    that changes the color of any sensor position stages nothing and
+    returns -inf at once.
     """
 
     def __init__(self, col: Coloring, lasers: list[LaserObs],
@@ -387,53 +399,43 @@ class ObservationCache:
                  sonar_params: SonarParams | None = None):
         self.lp = laser_params if laser_params is not None else LaserParams()
         self.sp = sonar_params if sonar_params is not None else SonarParams()
-        self.grid = col.grid
         self.obs: list[LaserObs | SonarObs] = list(lasers) + list(sonars)
         n = len(self.obs)
         self.n_laser = len(lasers)
         self.sx = np.array([o.x for o in self.obs], dtype=np.float64)
         self.sy = np.array([o.y for o in self.obs], dtype=np.float64)
-        self.sensor_black = np.zeros(n, dtype=bool)
         self.ll = np.zeros(n, dtype=np.float64)
 
-        # laser geometry
+        # laser geometry: beam directions and impact points
         self.dirx = np.zeros(n)
         self.diry = np.zeros(n)
-        self.exit_cap = np.zeros(n)
         self.impact_x = np.zeros(n)
         self.impact_y = np.zeros(n)
         for i, o in enumerate(lasers):
-            ux, uy = beam_direction(o.heading, o.bearing)
-            self.dirx[i], self.diry[i] = ux, uy
-            self.exit_cap[i] = min(ray_rect_exit(Point2(o.x, o.y), (ux, uy), col.window),
-                                   o.max_range)
+            self.dirx[i], self.diry[i] = beam_direction(o.heading, o.bearing)
 
-        # sonar geometry: fixed wedge vectors plus full-range cell scans
+        # sonar geometry: wedge vectors and truncated radii
         self.ulox = np.zeros(n)
         self.uloy = np.zeros(n)
         self.uhix = np.zeros(n)
         self.uhiy = np.zeros(n)
         self.trunc_radius = np.zeros(n)
-        self._full_cells: list[list[tuple[int, int]] | None] = [None] * n
         for j, o in enumerate(sonars):
             i = self.n_laser + j
             c = sonar_cone(o)
             self.ulox[i], self.uloy[i] = unit_vector(c.heading - c.half_angle)
             self.uhix[i], self.uhiy[i] = unit_vector(c.heading + c.half_angle)
-            self._full_cells[i] = cone_cells(self.grid, c.apex, c.heading,
-                                             c.half_angle, c.max_range)
 
         if bool(col.colors_at(self.sx, self.sy).any()):
             raise ValueError("every sensor position must start in free space")
         for i in range(n):
-            ll, ext = self._evaluate(i, col, False)
+            ll, ext = self._evaluate(i, col)
             if ll == -math.inf:
                 raise ValueError(f"observation {i} starts with zero likelihood")
             self.ll[i] = ll
             self._set_extent(i, ext)
         self._total = float(self.ll.sum())
         self._staged: list[tuple[int, float, float]] | None = None
-        self._staged_flips: np.ndarray | None = None
         self._staged_delta = 0.0
 
     # -- protocol ---------------------------------------------------------
@@ -441,21 +443,17 @@ class ObservationCache:
     def log_likelihood(self) -> float:
         return self._total
 
-    def delta_for_edit(self, col: Coloring, result) -> float | None:
-        delta_segs = result.delta_segments
-        flipped = changed_points(col, result, self.sx, self.sy)
-        touched = self._touched_observations(delta_segs)
-        affected = np.union1d(flipped, touched) if len(flipped) else touched
-        flipset = set(int(i) for i in flipped)
+    def delta_for_edit(self, col: Coloring, result) -> float:
+        if len(changed_points(col, result, self.sx, self.sy)):
+            return -math.inf
         staged = []
         delta = 0.0
-        for i in affected:
+        for i in self._touched_observations(result.delta_segments):
             i = int(i)
-            ll, ext = self._evaluate(i, col, i in flipset)
+            ll, ext = self._evaluate(i, col)
             staged.append((i, ll, ext))
             delta += ll - self.ll[i]
         self._staged = staged
-        self._staged_flips = flipped
         self._staged_delta = delta
         return delta
 
@@ -464,15 +462,11 @@ class ObservationCache:
         for i, ll, ext in self._staged:
             self.ll[i] = ll
             self._set_extent(i, ext)
-        if len(self._staged_flips):
-            self.sensor_black[self._staged_flips] ^= True
         self._total += self._staged_delta
         self._staged = None
-        self._staged_flips = None
 
     def rollback(self) -> None:
         self._staged = None
-        self._staged_flips = None
 
     # -- full recompute (oracle hook) -------------------------------------
 
@@ -503,30 +497,11 @@ class ObservationCache:
                 cones |= d <= self.trunc_radius[nl:] + _TOUCH_EPS
         return np.flatnonzero(hit)
 
-    def _evaluate(self, i: int, col: Coloring, color_flipped: bool):
-        """(log likelihood, new extent scalar) for observation i on col."""
-        o = self.obs[i]
-        black = bool(self.sensor_black[i]) ^ color_flipped
+    def _evaluate(self, i: int, col: Coloring) -> tuple[float, float]:
+        """(log likelihood, extent) of observation i, whose sensor is free."""
         if i < self.n_laser:
-            if black:
-                return -math.inf, 0.0
-            origin = Point2(o.x, o.y)
-            exit_cap = self.exit_cap[i]
-            hit = col.index.ray_cast(origin, (self.dirx[i], self.diry[i]),
-                                     exit_cap, col.segment_of)
-            d_star = exit_cap if hit is None else hit[0]
-            ll = _laser_density_log(o.range, o.is_max_range, d_star,
-                                    o.max_range, self.lp)
-            return ll, d_star
-        if black:
-            return -math.inf, o.max_range
-        cone = sonar_cone(o)
-        feats = visibility_sweep(_candidate_segments(col, self._full_cells[i]), cone)
-        triples = return_probabilities(feats, self.sp)
-        ll = _sonar_density_log(o.range, o.is_max_range, triples,
-                                o.max_range, self.sp)
-        radius = _sweep_contact_radius_points(triples, cone)
-        return ll, radius
+            return _laser_eval(self.obs[i], col, self.lp)
+        return _sonar_eval(self.obs[i], col, self.sp)
 
     def _set_extent(self, i: int, ext: float) -> None:
         if i < self.n_laser:
@@ -536,7 +511,7 @@ class ObservationCache:
             self.trunc_radius[i] = ext
 
 
-def _sweep_contact_radius_points(triples, cone: Cone) -> float:
+def _sweep_contact_radius_points(triples, o: SonarObs) -> float:
     """Sensitivity radius of a cone given its visible features.
 
     Full angular coverage by faces bounds sensitivity at the farthest
@@ -548,19 +523,18 @@ def _sweep_contact_radius_points(triples, cone: Cone) -> float:
     tol = ZERO_WIDTH_FACE_TOL
     intervals = sorted((f.angle_lo, f.angle_hi) for f, _, _ in triples
                        if f.kind == "face")
-    reach = -cone.half_angle
+    reach = -o.half_angle
     for lo, hi in intervals:
         if lo > reach + tol:
-            return cone.max_range
+            return o.max_range
         reach = max(reach, hi)
-    if reach < cone.half_angle - tol:
-        return cone.max_range
+    if reach < o.half_angle - tol:
+        return o.max_range
     farthest = 0.0
-    ax, ay = cone.apex
     for f, _, _ in triples:
         for pt in (f.point_a, f.point_b):
-            farthest = max(farthest, math.hypot(pt.x - ax, pt.y - ay))
-    return min(farthest + _TOUCH_EPS, cone.max_range)
+            farthest = max(farthest, math.hypot(pt.x - o.x, pt.y - o.y))
+    return min(farthest + _TOUCH_EPS, o.max_range)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +561,7 @@ class PointColorLikelihood:
     def log_likelihood(self) -> float:
         return self._total
 
-    def delta_for_edit(self, col: Coloring, result) -> float | None:
+    def delta_for_edit(self, col: Coloring, result) -> float:
         cand = changed_points(col, result, self.qx, self.qy)
         old = np.where(self.black[cand], self.term_black[cand], self.term_white[cand])
         new = np.where(self.black[cand], self.term_white[cand], self.term_black[cand])

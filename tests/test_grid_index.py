@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from prfmap.geometry import GridSpec, Point2, Rect, Segment, dist, unit_vector
-from prfmap.grid_index import EdgeGridIndex, cone_cells
+from prfmap.geometry import Cone, GridSpec, Point2, Rect, Segment, unit_vector
+from prfmap.grid_index import EdgeGridIndex
 
 
 def oracle_ray_hit(origin, direction, seg):
@@ -115,7 +115,7 @@ def test_ray_cast_respects_removal():
     assert idx.ray_cast(o, d, 2.0, segs.__getitem__) is None
 
 
-def test_cone_cells_covers_sector_points():
+def test_cone_bbox_covers_sector_points():
     grid = GridSpec(Rect(0.0, 0.0, 6.0, 5.0), 0.3)
     rng = random.Random(23)
     for _ in range(30):
@@ -123,7 +123,8 @@ def test_cone_cells_covers_sector_points():
         heading = rng.uniform(-math.pi, math.pi)
         half = rng.uniform(0.05, 1.2)
         radius = rng.uniform(0.3, 3.0)
-        cover = set(cone_cells(grid, apex, heading, half, radius))
+        xmin, ymin, xmax, ymax = Cone(apex, heading, half, radius).bbox()
+        cover = set(grid.cells_in_bbox(xmin, ymin, xmax, ymax))
         # every point truly inside the sector must land in a covered cell
         for _ in range(300):
             r = radius * math.sqrt(rng.random())
@@ -132,9 +133,6 @@ def test_cone_cells_covers_sector_points():
             if not grid.window.contains(p):
                 continue
             assert grid.cell_of(p) in cover
-        # coverage never extends beyond the disc's bounding box
-        for (ix, iy) in cover:
-            rect = grid.cell_rect(ix, iy)
-            nx = min(max(apex.x, rect.xmin), rect.xmax)
-            ny = min(max(apex.y, rect.ymin), rect.ymax)
-            assert dist(Point2(nx, ny), apex) <= radius + 1e-9
+        # the box never extends beyond the disc's bounding box
+        assert apex.x - radius <= xmin and xmax <= apex.x + radius
+        assert apex.y - radius <= ymin and ymax <= apex.y + radius

@@ -17,21 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prfmap.coloring import Coloring
+import prfmap.sensors
+from prfmap.cli import main
+from prfmap.coloring import BLACK, INTERIOR, Coloring, Edit
 from prfmap.geometry import (Point2, Rect, Segment, VisibleFeature,
                              _clip_to_wedge, _point_at,
                              point_segment_distance, ray_rect_exit,
-                             ray_segment_intersection, unit_vector)
+                             ray_segment_intersection, unit_vector,
+                             visibility_sweep)
+from prfmap.grid_index import EdgeGridIndex
 from prfmap.moves import MoveParams
 from prfmap.prior import PriorParams
 from prfmap.sampler import Sampler, run_chain
 from prfmap.sensors import (_TOUCH_EPS, CompositeLikelihood, LaserObs,
-                            LaserParams, _wedge_clip_distance,
-                            ObservationCache, PointColorLikelihood,
-                            PointColorObs, SonarObs, SonarParams,
-                            beam_direction, laser_log_likelihood,
+                            LaserParams, _laser_density_log,
+                            _wedge_clip_distance, ObservationCache,
+                            PointColorLikelihood, PointColorObs, SonarObs,
+                            SonarParams, beam_direction, laser_log_likelihood,
                             laser_true_distance, return_probabilities,
-                            sonar_features, sonar_log_likelihood)
+                            sonar_cone, sonar_features, sonar_log_likelihood)
 from prfmap.sim import SonarRingSpec
 
 WINDOW = Rect(0.0, 0.0, 4.0, 3.0)
@@ -149,6 +153,29 @@ def test_laser_sensor_inside_occupied_space_impossible():
     col = wall_scene()
     o = LaserObs(2.1, 1.5, 0.0, 0.0, 1.0, 8.0)
     assert laser_log_likelihood(o, col, LaserParams()) == -math.inf
+
+
+def test_laser_density_underflow_is_zero_likelihood():
+    # with no uniform term, a reading far from the prediction has a
+    # Gaussian density that underflows to exactly zero
+    p = LaserParams(w_gauss=0.9, w_uniform=0.0, w_maxrange=0.1)
+    assert _laser_density_log(0.79, False, 3.0, 8.0, p) == -math.inf
+    assert _laser_density_log(0.79, True, 3.0, 8.0, p) == pytest.approx(math.log(0.1))
+    assert math.isfinite(_laser_density_log(3.0, False, 3.0, 8.0, p))
+
+
+def test_sample_with_underflowing_laser_names_the_observation(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.delenv("PRFMAP_CONFIG", raising=False)
+    log = tmp_path / "beam.log"
+    log.write_text("# scanlog v1\n# window 0.0 0.0 8.0 6.0\n# laser_max_range 8.0\n"
+                   "LASER 0.0 1.2 3.0 0.0 -1.5707963267948966 0.79 0\n")
+    code = main(["sample", "--log", str(log), "--out", str(tmp_path / "out"),
+                 "--laser-w-uniform", "0", "--laser-w-maxrange", "0.1",
+                 "--proposals", "10"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: observation 0 starts with zero likelihood")
 
 
 def test_laser_params_validation():
@@ -464,6 +491,10 @@ def test_cache_total_tracks_recomputation_over_chain():
                     want = sonar_log_likelihood(o, col, cache.sp)
                 assert cache.ll[i] == pytest.approx(want, rel=1e-12), \
                     f"observation {i} stale after accept {self.checks}"
+            # the flipped-sensor early exit rests on this: no accepted
+            # state ever puts a sensor in occupied space
+            assert not col.colors_at(cache.sx, cache.sy).any(), \
+                f"a sensor is black after accept {self.checks}"
             self.checks += 1
 
     listener = CachedMatchesScratch()
@@ -482,6 +513,36 @@ def test_cache_total_tracks_recomputation_over_chain():
                                                        rel=1e-9, abs=1e-9)
 
 
+def test_edit_flipping_a_sensor_is_rejected_before_any_evaluation(monkeypatch):
+    col = wall_scene()
+    lasers = [LaserObs(1.1, 1.3, 0.0, 0.0, 0.9, 8.0),   # inside the new triangle
+              LaserObs(0.5, 1.5, 0.0, 0.0, 1.5, 8.0)]   # its beam crosses it
+    sonars = [SonarObs(0.3, 1.5, 0.0, 0.0, math.radians(10.0), 1.7, 3.5)]
+    cache = ObservationCache(col, lasers, sonars)
+    before = cache.log_likelihood()
+    edit = Edit(new_vertices=((-1, 0.8, 1.0, INTERIOR), (-2, 1.4, 1.0, INTERIOR),
+                              (-3, 1.1, 2.0, INTERIOR)),
+                added_edges=((-1, -2), (-2, -3), (-3, -1)))
+    assert col.edit_is_valid(edit)
+    result = col.apply_edit(edit)
+    assert col.color_at(Point2(1.1, 1.3)) == BLACK
+    # the edit also reaches the other beam and the cone
+    assert list(cache._touched_observations(result.delta_segments)) == [0, 1, 2]
+
+    calls = []
+    cast, sweep = EdgeGridIndex.ray_cast, prfmap.sensors.visibility_sweep
+    monkeypatch.setattr(EdgeGridIndex, "ray_cast",
+                        lambda *a: calls.append("ray_cast") or cast(*a))
+    monkeypatch.setattr(prfmap.sensors, "visibility_sweep",
+                        lambda *a: calls.append("sweep") or sweep(*a))
+    assert cache.delta_for_edit(col, result) == -math.inf
+    assert calls == []
+    cache.rollback()
+    col.revert(result.token)
+    assert cache.log_likelihood() == before
+    assert cache.recompute_total(col) == pytest.approx(before, rel=1e-12)
+
+
 def test_cache_rejects_start_inside_occupied_space():
     col = wall_scene()
     bad = [LaserObs(2.1, 1.5, 0.0, 0.0, 1.0, 8.0)]
@@ -498,3 +559,41 @@ def test_composite_sums_parts():
     comp = CompositeLikelihood([cache, plik])
     assert comp.log_likelihood() == pytest.approx(
         cache.log_likelihood() + plik.log_likelihood(), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sonar candidate edges: the bounding-box rule loses nothing
+
+
+def test_sonar_features_match_a_sweep_over_every_live_edge():
+    rng = np.random.default_rng(21)
+    p = SonarParams()
+    checked = 0
+    for seed in range(4):
+        col = Coloring.from_rectangles(
+            WINDOW, [Rect(2.0, 0.5, 2.2, 2.5), Rect(0.4, 0.3, 0.9, 0.8),
+                     Rect(2.8, 1.9, 3.6, 2.6)], cell_size=0.3)
+        samp = Sampler(col, PriorParams(intensity=3.0), MoveParams(),
+                       np.random.default_rng(100 + seed))
+        run_chain(samp, 400)
+        every_edge = [(eid, col.segment_of(eid)) for eid in sorted(col.edges)]
+        for k in range(60):
+            w = col.window
+            if k % 3 == 0:    # apex within 0.05 of the window edge
+                x = rng.choice([rng.uniform(w.xmin, w.xmin + 0.05),
+                                rng.uniform(w.xmax - 0.05, w.xmax)])
+                y = rng.uniform(w.ymin, w.ymax)
+            else:
+                x, y = rng.uniform(w.xmin, w.xmax), rng.uniform(w.ymin, w.ymax)
+            half = rng.uniform(0.05, 1.5)
+            if k % 2:         # the arc straddles an axis direction
+                heading = rng.integers(4) * math.pi / 2 + rng.uniform(-half, half)
+            else:
+                heading = rng.uniform(-math.pi, math.pi)
+            # up to 6 m: most cones leave the 4 x 3 window
+            max_range = rng.uniform(0.3, 6.0)
+            o = SonarObs(x, y, heading, 0.0, half, max_range, max_range, True)
+            want = return_probabilities(visibility_sweep(every_edge, sonar_cone(o)), p)
+            assert sonar_features(o, col, p) == want
+            checked += bool(want)
+    assert checked > 100, "most cones must see something"
