@@ -140,7 +140,13 @@ class RunConfig:
         if self.sim_sensors not in ("auto", "laser", "sonar", "both"):
             raise ValueError(f"sim_sensors must be auto|laser|sonar|both, "
                              f"got {self.sim_sensors!r}")
-        # delegate range checks on sensor weights to the param constructors
+        for prefix, cls in (("laser_", LaserParams), ("sonar_", SonarParams)):
+            keys = [prefix + f.name for f in fields(cls) if f.name.startswith("w_")]
+            values = [getattr(self, k) for k in keys]
+            if any(v < 0.0 for v in values) or abs(sum(values) - 1.0) > 1e-9:
+                raise ValueError(f"{' + '.join(keys)} must be nonnegative and sum to 1, "
+                                 f"got {' + '.join(map(repr, values))} = {sum(values)!r}")
+        # delegate the remaining sensor range checks to the param constructors
         self.laser_params()
         self.sonar_params()
 

@@ -14,8 +14,11 @@ Three observation families condition the coloring posterior:
   fixed location.
 
 Any observation model reports -inf when its sensor sits in occupied
-(black) space.  A sonar cone's candidate edges are those the coloring's
-index holds near :meth:`Cone.bbox`, wherever a cone is evaluated.
+(black) space.  Laser beams are cast by :func:`cast_beams`, one numpy pass
+of beams x live edges in increasing edge id, wherever beams are evaluated
+(one beam or many).  A sonar cone's candidate edges are those the
+coloring's index holds near :meth:`Cone.bbox`, wherever a cone is
+evaluated.
 
 :class:`ObservationCache` binds a set of laser and sonar observations to a
 chain: it keeps every observation's log likelihood cached together with its
@@ -24,8 +27,9 @@ farthest contact), and on each proposed edit recomputes only the
 observations whose extent the edit touches.  An edit that changes the color
 of any sensor position has likelihood zero and returns -inf before anything
 is evaluated.  The cache keeps no cell index: each changed segment is tested
-against every beam, and against every cone, in one vectorised pass per
-family.
+against every cone in one vectorised pass, and against the beams whose
+``[sensor, impact]`` box lies near its own box; the touched beams are then
+cast together in one :func:`cast_beams` call.
 """
 
 from __future__ import annotations
@@ -202,33 +206,81 @@ def beam_direction(heading: float, bearing: float) -> tuple[float, float]:
     return unit_vector(heading + bearing)
 
 
+def beam_cap(col: Coloring, origin: Point2, direction: tuple[float, float],
+             max_range: float) -> float:
+    """Distance a beam can reach: the window exit, capped at ``max_range``.
+
+    The window boundary itself is a viewing frame, not an obstacle.
+    """
+    return min(ray_rect_exit(origin, direction, col.window), max_range)
+
+
+# Beams x edges pairs per numpy pass of cast_beams.  A pass holds about a
+# dozen float arrays of this many elements, so this bounds its memory below
+# a megabyte however many beams and edges there are.
+_CAST_BLOCK = 1 << 13
+
+
+def cast_beams(col: Coloring, ox, oy, dx, dy, cap) -> tuple[np.ndarray, np.ndarray]:
+    """First hit ``(t, eid)`` of each beam against the coloring's live edges.
+
+    Beam k starts at ``(ox[k], oy[k])`` along the unit vector
+    ``(dx[k], dy[k])`` and reaches ``cap[k]``.  Beams x edges are tested at
+    once with the operations of :func:`geometry.ray_segment_intersection`,
+    in its order, then ``t <= cap``.  Edges are taken in increasing id, and
+    the first minimum wins, so ties in t go to the smaller id.  A beam that
+    hits nothing gets ``t = cap`` and ``eid = -1``.
+    """
+    ox, oy, dx, dy, cap = (np.asarray(v, dtype=np.float64) for v in (ox, oy, dx, dy, cap))
+    t_hit = cap.copy()
+    eid_hit = np.full(len(cap), -1, dtype=np.int64)
+    eids = np.array(sorted(col.edges), dtype=np.int64)
+    if not len(eids):
+        return t_hit, eid_hit
+    segs = [col.segment_of(e) for e in eids.tolist()]
+    ax = np.array([s.a.x for s in segs])
+    ay = np.array([s.a.y for s in segs])
+    ex = np.array([s.b.x for s in segs]) - ax
+    ey = np.array([s.b.y for s in segs]) - ay
+    step = max(1, _CAST_BLOCK // len(eids))
+    for lo in range(0, len(cap), step):
+        blk = slice(lo, lo + step)
+        bdx, bdy = dx[blk, None], dy[blk, None]
+        denom = bdx * ey - bdy * ex
+        sx, sy = ax - ox[blk, None], ay - oy[blk, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (sx * ey - sy * ex) / denom
+            u = (sx * bdy - sy * bdx) / denom
+        hit = ((denom != 0.0) & ~(t < 0.0) & ~(u < 0.0) & ~(u > 1.0)
+               & (t <= cap[blk, None]))
+        first = np.argmin(np.where(hit, t, np.inf), axis=1)
+        rows = np.flatnonzero(hit[np.arange(len(first)), first])
+        t_hit[lo + rows] = t[rows, first[rows]]
+        eid_hit[lo + rows] = eids[first[rows]]
+    return t_hit, eid_hit
+
+
 def laser_true_distance(col: Coloring, origin: Point2,
                         direction: tuple[float, float],
                         max_range: float) -> tuple[float, int | None]:
     """Predicted impact distance for a beam and the edge hit, if any.
 
-    The beam is cast against the coloring's edges; with no hit the window
-    exit distance stands in, capped at ``max_range`` (the window boundary
-    itself is a viewing frame, not an obstacle).
+    The beam is cast against the coloring's edges; with no hit the
+    :func:`beam_cap` distance stands in.
     """
-    cap = min(ray_rect_exit(origin, direction, col.window), max_range)
-    hit = col.index.ray_cast(origin, direction, cap, col.segment_of)
-    if hit is None:
-        return cap, None
-    return hit[0], hit[1]
+    cap = beam_cap(col, origin, direction, max_range)
+    t, eid = cast_beams(col, [origin.x], [origin.y], [direction[0]],
+                        [direction[1]], [cap])
+    return float(t[0]), (int(eid[0]) if eid[0] >= 0 else None)
 
 
 def laser_log_likelihood(o: LaserObs, col: Coloring, p: LaserParams) -> float:
-    if col.color_at(Point2(o.x, o.y)) == BLACK:
+    origin = Point2(o.x, o.y)
+    if col.color_at(origin) == BLACK:
         return -math.inf
-    return _laser_eval(o, col, p)[0]
-
-
-def _laser_eval(o: LaserObs, col: Coloring, p: LaserParams) -> tuple[float, float]:
-    """(log likelihood, impact distance) of a beam whose sensor is free."""
-    d_star, _ = laser_true_distance(col, Point2(o.x, o.y),
-                                    beam_direction(o.heading, o.bearing), o.max_range)
-    return _laser_density_log(o.range, o.is_max_range, d_star, o.max_range, p), d_star
+    d_star, _ = laser_true_distance(col, origin, beam_direction(o.heading, o.bearing),
+                                    o.max_range)
+    return _laser_density_log(o.range, o.is_max_range, d_star, o.max_range, p)
 
 
 def _laser_density_log(r: float, flagged: bool, d_star: float,
@@ -382,9 +434,15 @@ class ObservationCache:
     changed segment, and cones whose wedge holds a piece of a changed
     segment within ``_TOUCH_EPS`` of the truncated radius — and
     ``commit``/``rollback`` finalize or discard the staging.  No cell index
-    is kept: each family is tested against every changed segment in one
-    numpy pass, and a re-evaluated cone gathers its candidate edges from the
-    coloring's index by :meth:`Cone.bbox`, as :func:`sonar_features` does.
+    is kept.  Cones are tested against every changed segment in one numpy
+    pass.  Beams are first filtered by box: a beam's ``[sensor, impact]``
+    box and the segment's box, each widened by ``_TOUCH_EPS``, must meet,
+    which every beam within ``_TOUCH_EPS`` of the segment does, and only the
+    beams that pass get the exact distance test.  The touched beams are
+    cast in one :func:`cast_beams` call against caps (window exit or max
+    range) computed once at construction; a re-evaluated cone gathers its
+    candidate edges from the coloring's index by :meth:`Cone.bbox`, as
+    :func:`sonar_features` does.
 
     The construction-time coloring must give every sensor a free (white)
     position.  A state with a black sensor has likelihood zero and is never
@@ -406,13 +464,16 @@ class ObservationCache:
         self.sy = np.array([o.y for o in self.obs], dtype=np.float64)
         self.ll = np.zeros(n, dtype=np.float64)
 
-        # laser geometry: beam directions and impact points
+        # laser geometry: beam directions, caps and impact points
         self.dirx = np.zeros(n)
         self.diry = np.zeros(n)
+        self.cap = np.zeros(n)
         self.impact_x = np.zeros(n)
         self.impact_y = np.zeros(n)
         for i, o in enumerate(lasers):
-            self.dirx[i], self.diry[i] = beam_direction(o.heading, o.bearing)
+            direction = beam_direction(o.heading, o.bearing)
+            self.dirx[i], self.diry[i] = direction
+            self.cap[i] = beam_cap(col, Point2(o.x, o.y), direction, o.max_range)
 
         # sonar geometry: wedge vectors and truncated radii
         self.ulox = np.zeros(n)
@@ -428,8 +489,7 @@ class ObservationCache:
 
         if bool(col.colors_at(self.sx, self.sy).any()):
             raise ValueError("every sensor position must start in free space")
-        for i in range(n):
-            ll, ext = self._evaluate(i, col)
+        for i, ll, ext in self._evaluate(np.arange(n), col):
             if ll == -math.inf:
                 raise ValueError(f"observation {i} starts with zero likelihood")
             self.ll[i] = ll
@@ -446,12 +506,9 @@ class ObservationCache:
     def delta_for_edit(self, col: Coloring, result) -> float:
         if len(changed_points(col, result, self.sx, self.sy)):
             return -math.inf
-        staged = []
+        staged = self._evaluate(self._touched_observations(result.delta_segments), col)
         delta = 0.0
-        for i in self._touched_observations(result.delta_segments):
-            i = int(i)
-            ll, ext = self._evaluate(i, col)
-            staged.append((i, ll, ext))
+        for i, ll, _ in staged:
             delta += ll - self.ll[i]
         self._staged = staged
         self._staged_delta = delta
@@ -472,12 +529,11 @@ class ObservationCache:
 
     def recompute_total(self, col: Coloring) -> float:
         """From-scratch total log likelihood of the current coloring."""
+        if bool(col.colors_at(self.sx, self.sy).any()):
+            return -math.inf
         total = 0.0
-        for i, o in enumerate(self.obs):
-            if i < self.n_laser:
-                total += laser_log_likelihood(o, col, self.lp)
-            else:
-                total += sonar_log_likelihood(o, col, self.sp)
+        for _, ll, _ in self._evaluate(np.arange(len(self.obs)), col):
+            total += ll
         return total
 
     # -- internals --------------------------------------------------------
@@ -485,23 +541,49 @@ class ObservationCache:
     def _touched_observations(self, delta_segs) -> np.ndarray:
         nl = self.n_laser
         hit = np.zeros(len(self.obs), dtype=bool)
-        beams, cones = hit[:nl], hit[nl:]
-        for seg in delta_segs:
-            if nl:
-                d = _seg_batch_min_dist(self.sx[:nl], self.sy[:nl],
-                                        self.impact_x[:nl], self.impact_y[:nl], seg)
-                beams |= d <= _TOUCH_EPS
-            if len(cones):
+        if nl:
+            beams = hit[:nl]
+            sx, sy = self.sx[:nl], self.sy[:nl]
+            ix, iy = self.impact_x[:nl], self.impact_y[:nl]
+            # A beam within _TOUCH_EPS of a segment has its box within
+            # _TOUCH_EPS of the segment's box, so widening both boxes by it
+            # keeps every touched beam, with room to spare for rounding.
+            xlo, xhi = np.minimum(sx, ix) - _TOUCH_EPS, np.maximum(sx, ix) + _TOUCH_EPS
+            ylo, yhi = np.minimum(sy, iy) - _TOUCH_EPS, np.maximum(sy, iy) + _TOUCH_EPS
+            for seg in delta_segs:
+                (ax, ay), (bx, by) = seg
+                near = np.flatnonzero(
+                    (xlo <= max(ax, bx) + _TOUCH_EPS) & (xhi >= min(ax, bx) - _TOUCH_EPS)
+                    & (ylo <= max(ay, by) + _TOUCH_EPS) & (yhi >= min(ay, by) - _TOUCH_EPS))
+                d = _seg_batch_min_dist(sx[near], sy[near], ix[near], iy[near], seg)
+                beams[near[d <= _TOUCH_EPS]] = True
+        if len(self.obs) > nl:
+            cones = hit[nl:]
+            for seg in delta_segs:
                 d = _wedge_clip_distance(self.sx[nl:], self.sy[nl:], self.ulox[nl:],
                                          self.uloy[nl:], self.uhix[nl:], self.uhiy[nl:], seg)
                 cones |= d <= self.trunc_radius[nl:] + _TOUCH_EPS
         return np.flatnonzero(hit)
 
-    def _evaluate(self, i: int, col: Coloring) -> tuple[float, float]:
-        """(log likelihood, extent) of observation i, whose sensor is free."""
-        if i < self.n_laser:
-            return _laser_eval(self.obs[i], col, self.lp)
-        return _sonar_eval(self.obs[i], col, self.sp)
+    def _evaluate(self, idx: np.ndarray, col: Coloring) -> list[tuple[int, float, float]]:
+        """``(i, log likelihood, extent)`` for each observation i in the
+        increasing indices ``idx``, whose sensors are all free.
+
+        The beams among them are cast in one :func:`cast_beams` call.
+        """
+        k = int(np.searchsorted(idx, self.n_laser))
+        out = []
+        if k:
+            beams = idx[:k]
+            d_star, _ = cast_beams(col, self.sx[beams], self.sy[beams], self.dirx[beams],
+                                   self.diry[beams], self.cap[beams])
+            for i, d in zip(beams.tolist(), d_star.tolist()):
+                o = self.obs[i]
+                out.append((i, _laser_density_log(o.range, o.is_max_range, d,
+                                                  o.max_range, self.lp), d))
+        for i in idx[k:].tolist():
+            out.append((i, *_sonar_eval(self.obs[i], col, self.sp)))
+        return out
 
     def _set_extent(self, i: int, ext: float) -> None:
         if i < self.n_laser:

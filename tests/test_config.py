@@ -111,9 +111,11 @@ def test_validation_rejects_bad_ranges():
     ("sonar_half_angle", "3"), ("laser_beams", "0"),
     ("sonar_transducers", "0"), ("point_sigma", "0"),
     ("baseline_sonar_arc_halfwidth", "-1"), ("point_grid_ny", "-3"),
+    ("laser_w_uniform", "0"), ("sonar_w_uniform", "0"),
 ])
 def test_validation_names_the_out_of_range_key(key, raw):
-    with pytest.raises(ValueError, match=f"^{key} must be"):
+    # a mixture weight is named within the sum of its family's weights
+    with pytest.raises(ValueError, match=rf"^(\w+ \+ )*{key}( \+ \w+)* must be"):
         parse_config(f"{key} = {raw}\n")
 
 

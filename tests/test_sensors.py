@@ -31,7 +31,8 @@ from prfmap.prior import PriorParams
 from prfmap.sampler import Sampler, run_chain
 from prfmap.sensors import (_TOUCH_EPS, CompositeLikelihood, LaserObs,
                             LaserParams, _laser_density_log,
-                            _wedge_clip_distance, ObservationCache,
+                            _seg_batch_min_dist, _wedge_clip_distance,
+                            ObservationCache, beam_cap, cast_beams,
                             PointColorLikelihood, PointColorObs, SonarObs,
                             SonarParams, beam_direction, laser_log_likelihood,
                             laser_true_distance, return_probabilities,
@@ -95,6 +96,98 @@ def test_laser_true_distance_matches_brute_force():
                 best = (t, eid)
         assert got_eid == best[1]
         assert got_d == pytest.approx(best[0], abs=1e-9)
+
+
+def _prior_chain_colorings(n: int, proposals: int = 400):
+    """Three rectangles, each then moved by its own prior-only chain."""
+    out = []
+    for seed in range(n):
+        col = Coloring.from_rectangles(
+            WINDOW, [Rect(2.0, 0.5, 2.2, 2.5), Rect(0.4, 0.3, 0.9, 0.8),
+                     Rect(2.8, 1.9, 3.6, 2.6)], cell_size=0.3)
+        samp = Sampler(col, PriorParams(intensity=3.0), MoveParams(),
+                       np.random.default_rng(100 + seed))
+        run_chain(samp, proposals)
+        out.append(col)
+    return out
+
+
+def _first_hit_brute_force(col, origin, direction, cap):
+    """Smallest (t, eid) over every live edge hit within cap; (cap, None)."""
+    hits = []
+    for eid in col.edges:
+        t = ray_segment_intersection(origin, direction, col.segment_of(eid))
+        if t is not None and t <= cap:
+            hits.append((t, eid))
+    return min(hits) if hits else (cap, None)
+
+
+def _awkward_beams(col, rng):
+    """Beams through shared vertices and endpoints, along and parallel to
+    edges, and with the cap exactly at (or just short of) the first hit."""
+    beams = []
+    for eid in sorted(col.edges):
+        seg = col.segment_of(eid)
+        ex, ey = seg.b.x - seg.a.x, seg.b.y - seg.a.y
+        length = math.hypot(ex, ey)
+        ux, uy = ex / length, ey / length
+        # collinear with the edge, from just behind its first endpoint
+        beams.append((Point2(seg.a.x - 0.01 * ux, seg.a.y - 0.01 * uy), (ux, uy)))
+        # parallel to the edge, slightly off its line
+        beams.append((Point2(seg.a.x - 0.01 * ux - 0.02 * uy,
+                             seg.a.y - 0.01 * uy + 0.02 * ux), (ux, uy)))
+        # aimed at each endpoint; every vertex here is shared by two edges
+        for v in seg:
+            o = Point2(*rng.uniform((0.05, 0.05), (3.95, 2.95)))
+            dx, dy = v.x - o.x, v.y - o.y
+            norm = math.hypot(dx, dy)
+            if norm > 1e-6:
+                beams.append((o, (dx / norm, dy / norm)))
+            # diagonally at it from a dyadic offset: at an axis-parallel
+            # corner both edges then give bit-equal t, a tie for the id rule
+            r = math.sqrt(0.5)
+            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                beams.append((Point2(v.x - sx * 0.125, v.y - sy * 0.125), (sx * r, sy * r)))
+    return [(o, d) for o, d in beams if WINDOW.contains_strict(o)]
+
+
+def test_cast_beams_matches_ray_cast_and_brute_force():
+    rng = np.random.default_rng(31)
+    colorings = ([Coloring.empty(WINDOW, cell_size=0.3)]
+                 + _prior_chain_colorings(1, proposals=0) + _prior_chain_colorings(6))
+    assert max(c.n_edges for c in colorings) >= 20
+    cases = {"tie": 0, "cap_hit": 0, "cap_short": 0, "miss": 0}
+    for col in colorings:
+        beams = _awkward_beams(col, rng)
+        for _ in range(200):
+            o = Point2(*rng.uniform((0.05, 0.05), (3.95, 2.95)))
+            beams.append((o, unit_vector(rng.uniform(-math.pi, math.pi))))
+        origins, dirs, caps = [], [], []
+        for k, (o, d) in enumerate(beams):
+            cap = beam_cap(col, o, d, 0.5 + 8.0 * rng.random())
+            t, eid = _first_hit_brute_force(col, o, d, cap)
+            if eid is not None and k % 3 == 1:     # cap exactly at the hit
+                cap = t
+                cases["cap_hit"] += 1
+            elif eid is not None and k % 3 == 2:   # cap just short of it
+                cap = float(np.nextafter(t, 0.0))
+                cases["cap_short"] += 1
+            origins.append(o)
+            dirs.append(d)
+            caps.append(cap)
+        got_t, got_eid = cast_beams(col, [o.x for o in origins], [o.y for o in origins],
+                                    [d[0] for d in dirs], [d[1] for d in dirs], caps)
+        for k, (o, d, cap) in enumerate(zip(origins, dirs, caps)):
+            want = _first_hit_brute_force(col, o, d, cap)
+            hit = col.index.ray_cast(o, d, cap, col.segment_of)
+            assert (hit if hit is not None else (cap, None)) == want
+            assert (float(got_t[k]), None if got_eid[k] < 0 else int(got_eid[k])) == want
+            assert laser_true_distance(col, o, d, cap) == want
+            cases["miss"] += want[1] is None
+            ties = [e for e in col.edges if ray_segment_intersection(
+                o, d, col.segment_of(e)) == want[0]]
+            cases["tie"] += want[1] is not None and len(ties) > 1
+    assert all(n >= 20 for n in cases.values()), cases
 
 
 def test_laser_density_normalizes():
@@ -531,8 +624,11 @@ def test_edit_flipping_a_sensor_is_rejected_before_any_evaluation(monkeypatch):
 
     calls = []
     cast, sweep = EdgeGridIndex.ray_cast, prfmap.sensors.visibility_sweep
+    batch = prfmap.sensors.cast_beams
     monkeypatch.setattr(EdgeGridIndex, "ray_cast",
                         lambda *a: calls.append("ray_cast") or cast(*a))
+    monkeypatch.setattr(prfmap.sensors, "cast_beams",
+                        lambda *a: calls.append("cast_beams") or batch(*a))
     monkeypatch.setattr(prfmap.sensors, "visibility_sweep",
                         lambda *a: calls.append("sweep") or sweep(*a))
     assert cache.delta_for_edit(col, result) == -math.inf
@@ -541,6 +637,74 @@ def test_edit_flipping_a_sensor_is_rejected_before_any_evaluation(monkeypatch):
     col.revert(result.token)
     assert cache.log_likelihood() == before
     assert cache.recompute_total(col) == pytest.approx(before, rel=1e-12)
+
+
+def _touched_beams_unfiltered(cache, segs) -> list[int]:
+    """Every beam within _TOUCH_EPS of a segment, by one exact pass over all."""
+    nl = cache.n_laser
+    hit = np.zeros(nl, dtype=bool)
+    for seg in segs:
+        hit |= _seg_batch_min_dist(cache.sx[:nl], cache.sy[:nl], cache.impact_x[:nl],
+                                   cache.impact_y[:nl], seg) <= _TOUCH_EPS
+    return np.flatnonzero(hit).tolist()
+
+
+def test_box_prefilter_keeps_exactly_the_touched_beams():
+    col = wall_scene()
+    rng = np.random.default_rng(9)
+    lasers, _, _ = _random_observations(col, rng, n_laser=60, n_sonar=0, n_point=0)
+    # axis-parallel beams, whose [sensor, impact] box has zero width
+    for x, y, heading in ((0.5, 1.5, 0.0), (1.0, 0.2, math.pi / 2), (3.0, 2.0, math.pi),
+                          (3.5, 0.25, -math.pi / 2), (0.25, 2.75, 0.0)):
+        d, _ = laser_true_distance(col, Point2(x, y), beam_direction(heading, 0.0), 8.0)
+        lasers.append(LaserObs(x, y, heading, 0.0, d, 8.0))
+    cache = ObservationCache(col, lasers, [])
+    checked = {"edits": 0, "touched": 0}
+
+    class Checked:
+        """Passes each proposed edit through after comparing both passes."""
+        def log_likelihood(self):
+            return cache.log_likelihood()
+
+        def delta_for_edit(self, col, result):
+            got = cache._touched_observations(result.delta_segments).tolist()
+            assert got == _touched_beams_unfiltered(cache, result.delta_segments)
+            checked["edits"] += 1
+            checked["touched"] += len(got)
+            return cache.delta_for_edit(col, result)
+
+        def commit(self):
+            cache.commit()
+
+        def rollback(self):
+            cache.rollback()
+
+    samp = Sampler(col, PriorParams(intensity=0.3), MoveParams(),
+                   np.random.default_rng(10), Checked())
+    run_chain(samp, 1500)
+    assert checked["edits"] > 300 and checked["touched"] > 1000, checked
+    # segments about _TOUCH_EPS from a beam: beside it, past its sensor, past
+    # its impact and across its line, for an axis-parallel beam and a slanted one
+    segs = []
+    for i in (len(lasers) - 5, len(lasers) - 4, 0):
+        sx, sy = float(cache.sx[i]), float(cache.sy[i])
+        ix, iy = float(cache.impact_x[i]), float(cache.impact_y[i])
+        ux, uy = float(cache.dirx[i]), float(cache.diry[i])
+        mx, my = 0.5 * (sx + ix), 0.5 * (sy + iy)
+        for gap in (0.5 * _TOUCH_EPS, _TOUCH_EPS, np.nextafter(_TOUCH_EPS, 1.0),
+                    2.0 * _TOUCH_EPS, 3.0 * _TOUCH_EPS):
+            for px, py, vx, vy in ((mx - gap * uy, my + gap * ux, ux, uy),
+                                   (mx + gap * uy, my - gap * ux, ux, uy),
+                                   (sx - gap * ux, sy - gap * uy, -uy, ux),
+                                   (ix + gap * ux, iy + gap * uy, -uy, ux)):
+                segs.append(Segment(Point2(px, py), Point2(px + 0.3 * vx, py + 0.3 * vy)))
+                segs.append(Segment(Point2(px - 0.3 * vx, py - 0.3 * vy), Point2(px, py)))
+    touched = 0
+    for seg in segs:
+        got = cache._touched_observations([seg]).tolist()
+        assert got == _touched_beams_unfiltered(cache, [seg]), seg
+        touched += bool(got)
+    assert 0 < touched < len(segs)
 
 
 def test_cache_rejects_start_inside_occupied_space():
@@ -569,13 +733,7 @@ def test_sonar_features_match_a_sweep_over_every_live_edge():
     rng = np.random.default_rng(21)
     p = SonarParams()
     checked = 0
-    for seed in range(4):
-        col = Coloring.from_rectangles(
-            WINDOW, [Rect(2.0, 0.5, 2.2, 2.5), Rect(0.4, 0.3, 0.9, 0.8),
-                     Rect(2.8, 1.9, 3.6, 2.6)], cell_size=0.3)
-        samp = Sampler(col, PriorParams(intensity=3.0), MoveParams(),
-                       np.random.default_rng(100 + seed))
-        run_chain(samp, 400)
+    for col in _prior_chain_colorings(4):
         every_edge = [(eid, col.segment_of(eid)) for eid in sorted(col.edges)]
         for k in range(60):
             w = col.window

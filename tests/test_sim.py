@@ -5,11 +5,13 @@ the same mixtures the likelihoods evaluate, using closed-form mixture
 CDFs (Gaussian via erf, uniform, truncated exponential) as the oracle.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from prfmap.cli import main
 from prfmap.coloring import BLACK, WHITE, Coloring
 from prfmap.geometry import GridSpec, Point2, Rect
 from prfmap.sensors import LaserParams, SonarObs, SonarParams, sonar_features
@@ -142,6 +144,16 @@ def test_sonar_sim_rejects_pose_in_occupied_space():
     with pytest.raises(ValueError, match="occupied"):
         simulate_sonar_ping(col, 2.1, 1.5, 0.0, 0.0, SonarRingSpec(),
                             SonarParams(), np.random.default_rng(0))
+
+
+def test_corridor_simulation_log_is_pinned(tmp_path):
+    # Every benchmark input is a log written by this command, and each of its
+    # ranges comes from a laser_true_distance cast; a change to the cast, the
+    # trajectory or the random stream changes this digest.
+    assert main(["simulate", "--world", "corridor", "--out", str(tmp_path / "sim")]) == 0
+    text = (tmp_path / "sim.log").read_bytes()
+    assert text.count(b"\n") > 5_400
+    assert hashlib.sha256(text).hexdigest()[:16] == "67bfa8fd918d91ae"
 
 
 def test_laser_readings_match_mixture_cdf():
