@@ -9,7 +9,9 @@ traversed cell is freed.  A sonar ping marks its impact arc occupied (the
 cells in the cone whose square meets the band of half-width
 ``sonar_arc_halfwidth`` around the reading) and frees the other cone cells
 short of that band.  Each observation changes a cell by at most one
-constant, so the final grid does not depend on observation order.
+constant, so in exact arithmetic the final grid does not depend on
+observation order.  The increments are added in observation order, lasers
+first, so a rebuild from the same log is bit-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GridSpec, Point2, Rect, Segment, grid_trace_segment,
+from .geometry import (Cone, GridSpec, Point2, Segment, grid_trace_segment,
                        unit_vector)
 from .sensors import LaserObs, SonarObs, beam_direction
 
@@ -86,52 +88,90 @@ def grid_update_sonar(g: OccupancyGrid, o: SonarObs,
     around the apex; it is then marked occupied and not freed.  Other cone
     cells whose centre lies short of the band are freed.  A max-range ping
     has no arc: it frees every cone cell whose centre lies within ``range``.
+
+    The cells of the box around the ping's sector are tested in one numpy
+    pass (:func:`_sonar_increments`), and the increments are added to the
+    grid's slice for that box.  A cell occurs once per ping, so every cell
+    receives its increments in observation order.
     """
     p = params if params is not None else BaselineParams()
     grid = g.grid
     heading = o.heading + o.bearing
-    cos_half = math.cos(o.half_angle)
-    ux, uy = unit_vector(heading)
-    w = p.sonar_arc_halfwidth
-    win, size = grid.window, grid.cell_size
+    size = grid.cell_size
     # A square lies within half a diagonal of its centre, so only a cell
     # whose centre is that close to the band can meet it.
-    slack = w + math.sqrt(0.5) * size
+    slack = p.sonar_arc_halfwidth + math.sqrt(0.5) * size
     reach = o.range if o.is_max_range else o.range + slack
-    for ix, iy in grid.cells_in_bbox(o.x - reach, o.y - reach,
-                                     o.x + reach, o.y + reach):
-        # The centre of grid.cell_rect(ix, iy), without building the Rect.
-        x0 = win.xmin + ix * size
-        y0 = win.ymin + iy * size
-        cx = 0.5 * (x0 + (x0 + size)) - o.x
-        cy = 0.5 * (y0 + (y0 + size)) - o.y
-        d = math.hypot(cx, cy)
-        if d == 0.0 or d > reach:
-            continue
-        if (cx * ux + cy * uy) / d < cos_half:
-            continue
-        if o.is_max_range:
-            g.logodds[iy, ix] -= p.sonar_free
-        elif (abs(d - o.range) <= slack
-              and _square_meets_band(grid.cell_rect(ix, iy), o, w)):
-            g.logodds[iy, ix] += p.sonar_occupied
-        elif d < o.range - w:
-            g.logodds[iy, ix] -= p.sonar_free
+    # A centre that passes the cone test lies in the sector, up to rounding
+    # far below half a cell, so the cell's closed square meets its box.
+    ix0, ix1, iy0, iy1 = grid.index_spans(
+        *Cone(Point2(o.x, o.y), heading, o.half_angle, reach).bbox())
+    if ix0 > ix1 or iy0 > iy1:
+        return
+    win = grid.window
+    x0 = win.xmin + np.arange(ix0, ix1 + 1) * size               # columns
+    y0 = (win.ymin + np.arange(iy0, iy1 + 1) * size)[:, None]    # rows
+    inc, ties = _sonar_increments(np.hypot, o, p, reach, slack, x0, y0, size)
+    if ties.any():
+        inc, _ = _sonar_increments(_math_hypot, o, p, reach, slack, x0, y0, size)
+    box = g.logodds[iy0:iy1 + 1, ix0:ix1 + 1]
+    box += inc
 
 
-def _square_meets_band(r: Rect, o: SonarObs, w: float) -> bool:
-    """Whether the closed cell square meets ``|d - o.range| <= w`` around o."""
-    near_x = max(r.xmin - o.x, 0.0, o.x - r.xmax)
-    near_y = max(r.ymin - o.y, 0.0, o.y - r.ymax)
-    far_x = max(abs(r.xmin - o.x), abs(r.xmax - o.x))
-    far_y = max(abs(r.ymin - o.y), abs(r.ymax - o.y))
-    return (math.hypot(near_x, near_y) <= o.range + w
-            and math.hypot(far_x, far_y) >= o.range - w)
+def _math_hypot(x, y) -> np.ndarray:
+    """math.hypot elementwise."""
+    return np.frompyfunc(math.hypot, 2, 1)(x, y).astype(np.float64)
+
+
+# np.hypot and math.hypot are each within an ulp of the exact distance, yet
+# differ in the last bit for about one cell in 150.  Only a test whose two
+# sides are closer than this (times the reach, for distances) can resolve
+# differently under the two.
+_HYPOT_TIE = 1e-12
+
+
+def _sonar_increments(hypot, o: SonarObs, p: BaselineParams, reach: float,
+                      slack: float, x0: np.ndarray, y0: np.ndarray, size: float):
+    """Increments of one ping on a box of cells of side ``size``.
+
+    ``x0`` holds the box's column left edges and ``y0`` its row bottom
+    edges, as a column vector.  Each test repeats the float operations of
+    the scalar definition, in its order, with distances from ``hypot``.
+    Returns the increments (``+sonar_occupied``, ``-sonar_free`` or 0.0)
+    and a mask of the cells with a test within ``_HYPOT_TIE`` of its
+    threshold; math.hypot resolves those.
+    """
+    x1, y1 = x0 + size, y0 + size
+    cx = 0.5 * (x0 + x1) - o.x
+    cy = 0.5 * (y0 + y1) - o.y
+    ux, uy = unit_vector(o.heading + o.bearing)
+    cos_half = math.cos(o.half_angle)
+    d = hypot(cx, cy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_off = (cx * ux + cy * uy) / d    # nan at d == 0: not in the cone
+    cone = (d <= reach) & (cos_off >= cos_half)
+    tol = _HYPOT_TIE * reach
+    ties = (np.abs(cos_off - cos_half) <= _HYPOT_TIE) | (np.abs(d - reach) <= tol)
+    if o.is_max_range:
+        return np.where(cone, -p.sonar_free, 0.0), ties
+    r, w = o.range, p.sonar_arc_halfwidth
+    # Nearest and farthest point of each closed square from the apex.
+    near = hypot(np.maximum(np.maximum(x0 - o.x, 0.0), o.x - x1),
+                 np.maximum(np.maximum(y0 - o.y, 0.0), o.y - y1))
+    far = hypot(np.maximum(np.abs(x0 - o.x), np.abs(x1 - o.x)),
+                np.maximum(np.abs(y0 - o.y), np.abs(y1 - o.y)))
+    gap = np.abs(d - r)
+    arc = cone & (gap <= slack) & (near <= r + w) & (far >= r - w)
+    free = cone & ~arc & (d < r - w)
+    ties |= ((np.abs(gap - slack) <= tol) | (np.abs(gap - w) <= tol)
+             | (np.abs(near - (r + w)) <= tol) | (np.abs(far - (r - w)) <= tol))
+    return np.where(arc, p.sonar_occupied, np.where(free, -p.sonar_free, 0.0)), ties
 
 
 def build_occupancy_grid(grid: GridSpec, lasers, sonars,
                          params: BaselineParams | None = None) -> OccupancyGrid:
-    """Grid from scratch over all observations (order-independent)."""
+    """Grid from scratch: the lasers' increments, then the sonars', each
+    family in observation order."""
     g = OccupancyGrid(grid)
     p = params if params is not None else BaselineParams()
     for o in lasers:

@@ -24,7 +24,8 @@ ENV_CONFIG_PATH = "PRFMAP_CONFIG"
 _W = default_weights()  # the defaults of RunConfig.weight_*
 _POSITIVE = ("p", "cell_size", "index_cell_size", "temperature", "t_start", "t_end",
              "relocate_radius", "boundary_slide_delta", "kink_area",
-             "sim_cell_size", "laser_max_range", "sonar_max_range", "point_sigma")
+             "sim_cell_size", "laser_max_range", "sonar_max_range", "point_sigma",
+             "laser_sigma_floor", "sonar_sigma", "sonar_outlier_rate")
 
 
 @dataclass
@@ -117,7 +118,7 @@ class RunConfig:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("proposals", "burn_in", "sample_every", "anneal_proposals",
-                     "baseline_sonar_arc_halfwidth"):
+                     "baseline_sonar_arc_halfwidth", "laser_sigma_frac"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         for name in ("chains", "laser_beams", "sonar_transducers",
@@ -146,9 +147,6 @@ class RunConfig:
             if any(v < 0.0 for v in values) or abs(sum(values) - 1.0) > 1e-9:
                 raise ValueError(f"{' + '.join(keys)} must be nonnegative and sum to 1, "
                                  f"got {' + '.join(map(repr, values))} = {sum(values)!r}")
-        # delegate the remaining sensor range checks to the param constructors
-        self.laser_params()
-        self.sonar_params()
 
     # -- views ----------------------------------------------------------
     def prior_params(self) -> PriorParams:

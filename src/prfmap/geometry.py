@@ -120,10 +120,18 @@ class GridSpec:
         y0 = self.window.ymin + iy * self.cell_size
         return Rect(x0, y0, x0 + self.cell_size, y0 + self.cell_size)
 
-    def cells_in_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float):
-        """Cells whose closed rectangle meets the closed bbox."""
+    def index_spans(self, xmin: float, ymin: float, xmax: float,
+                    ymax: float) -> tuple[int, int, int, int]:
+        """Inclusive spans ``(ix0, ix1, iy0, iy1)`` of the cells whose closed
+        rectangle meets the closed bbox; a span is empty when its start
+        exceeds its end."""
         ix0, ix1 = _index_range(xmin, xmax, self.window.xmin, self.cell_size, self.nx)
         iy0, iy1 = _index_range(ymin, ymax, self.window.ymin, self.cell_size, self.ny)
+        return ix0, ix1, iy0, iy1
+
+    def cells_in_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float):
+        """Cells whose closed rectangle meets the closed bbox."""
+        ix0, ix1, iy0, iy1 = self.index_spans(xmin, ymin, xmax, ymax)
         if ix0 > ix1 or iy0 > iy1:
             return []
         return [(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)]

@@ -22,7 +22,9 @@ from .sensors import (
     PointColorObs,
     SonarObs,
     SonarParams,
+    beam_cap,
     beam_direction,
+    cast_beams,
     laser_true_distance,
     sonar_features,
 )
@@ -201,11 +203,40 @@ def world_trajectories(name: str) -> list[TrajectorySpec]:
 def simulate_laser_beam(col: Coloring, x: float, y: float, heading: float,
                         bearing: float, spec: LaserScanSpec, params: LaserParams,
                         rng: np.random.Generator) -> LaserObs:
-    origin = Point2(x, y)
-    if col.color_at(origin) == BLACK:
-        raise ValueError(f"laser pose ({x}, {y}) is in occupied space")
+    origin = _free_pose(col, x, y, "laser")
     d_star, _ = laser_true_distance(col, origin, beam_direction(heading, bearing),
                                     spec.max_range)
+    return _draw_laser_obs(x, y, heading, bearing, d_star, spec, params, rng)
+
+
+def simulate_laser_scan(col: Coloring, x: float, y: float, heading: float,
+                        spec: LaserScanSpec, params: LaserParams,
+                        rng: np.random.Generator) -> list[LaserObs]:
+    """One reading per bearing; the beams are cast in one ``cast_beams`` pass
+    and the readings drawn in bearing order, as ``simulate_laser_beam``
+    would draw them one beam at a time."""
+    origin = _free_pose(col, x, y, "laser")
+    bearings = spec.bearings()
+    dirs = [beam_direction(heading, b) for b in bearings]
+    caps = [beam_cap(col, origin, u, spec.max_range) for u in dirs]
+    n = len(dirs)
+    d_star, _ = cast_beams(col, [x] * n, [y] * n, [u[0] for u in dirs],
+                           [u[1] for u in dirs], caps)
+    return [_draw_laser_obs(x, y, heading, b, d, spec, params, rng)
+            for b, d in zip(bearings, d_star.tolist())]
+
+
+def _free_pose(col: Coloring, x: float, y: float, sensor: str) -> Point2:
+    origin = Point2(x, y)
+    if col.color_at(origin) == BLACK:
+        raise ValueError(f"{sensor} pose ({x}, {y}) is in occupied space")
+    return origin
+
+
+def _draw_laser_obs(x: float, y: float, heading: float, bearing: float,
+                    d_star: float, spec: LaserScanSpec, params: LaserParams,
+                    rng: np.random.Generator) -> LaserObs:
+    """A reading drawn from the laser mixture around the true distance."""
     u = rng.random()
     if u < params.w_maxrange:
         return LaserObs(x, y, heading, bearing, spec.max_range, spec.max_range, True)
@@ -223,13 +254,6 @@ def simulate_laser_beam(col: Coloring, x: float, y: float, heading: float,
     return LaserObs(x, y, heading, bearing, r, spec.max_range, False)
 
 
-def simulate_laser_scan(col: Coloring, x: float, y: float, heading: float,
-                        spec: LaserScanSpec, params: LaserParams,
-                        rng: np.random.Generator) -> list[LaserObs]:
-    return [simulate_laser_beam(col, x, y, heading, b, spec, params, rng)
-            for b in spec.bearings()]
-
-
 def _draw_truncated_exponential(rate: float, max_range: float,
                                 rng: np.random.Generator) -> float:
     u = rng.random()
@@ -240,8 +264,7 @@ def _draw_truncated_exponential(rate: float, max_range: float,
 def simulate_sonar_ping(col: Coloring, x: float, y: float, heading: float,
                         bearing: float, spec: SonarRingSpec, params: SonarParams,
                         rng: np.random.Generator) -> SonarObs:
-    if col.color_at(Point2(x, y)) == BLACK:
-        raise ValueError(f"sonar pose ({x}, {y}) is in occupied space")
+    _free_pose(col, x, y, "sonar")
     obs_probe = SonarObs(x, y, heading, bearing, spec.half_angle,
                          spec.max_range, spec.max_range, True)
     triples = sonar_features(obs_probe, col, params)

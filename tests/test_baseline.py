@@ -1,5 +1,6 @@
 """Tests for the independent-cell log-odds occupancy grid."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,10 @@ from prfmap.baseline import (
     grid_update_laser,
     grid_update_sonar,
 )
-from prfmap.geometry import GridSpec, Rect
+from prfmap.cli import main
+from prfmap.config import RunConfig
+from prfmap.geometry import GridSpec, Rect, unit_vector
+from prfmap.scanlog import read_scanlog
 from prfmap.sensors import LaserObs, SonarObs
 
 
@@ -180,3 +184,145 @@ def test_sonar_arc_matches_brute_force_band_overlap():
                     assert got == p.sonar_occupied
                 elif ds.min() > hi + 5e-3 or ds.max() < lo - 5e-3:
                     assert got == (-p.sonar_free if d < lo else 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the sonar update against its scalar definition
+
+
+def reference_sonar_update(g, o, p):
+    """The sonar update one cell at a time: every cell of the square of side
+    2 * reach around the apex, tested with math.hypot."""
+    grid = g.grid
+    heading = o.heading + o.bearing
+    cos_half = math.cos(o.half_angle)
+    ux, uy = unit_vector(heading)
+    w = p.sonar_arc_halfwidth
+    win, size = grid.window, grid.cell_size
+    slack = w + math.sqrt(0.5) * size
+    reach = o.range if o.is_max_range else o.range + slack
+    for ix, iy in grid.cells_in_bbox(o.x - reach, o.y - reach,
+                                     o.x + reach, o.y + reach):
+        x0 = win.xmin + ix * size
+        y0 = win.ymin + iy * size
+        cx = 0.5 * (x0 + (x0 + size)) - o.x
+        cy = 0.5 * (y0 + (y0 + size)) - o.y
+        d = math.hypot(cx, cy)
+        if d == 0.0 or d > reach:
+            continue
+        if (cx * ux + cy * uy) / d < cos_half:
+            continue
+        if o.is_max_range:
+            g.logodds[iy, ix] -= p.sonar_free
+        elif (abs(d - o.range) <= slack
+              and reference_square_meets_band(grid.cell_rect(ix, iy), o, w)):
+            g.logodds[iy, ix] += p.sonar_occupied
+        elif d < o.range - w:
+            g.logodds[iy, ix] -= p.sonar_free
+
+
+def reference_square_meets_band(r, o, w):
+    near_x = max(r.xmin - o.x, 0.0, o.x - r.xmax)
+    near_y = max(r.ymin - o.y, 0.0, o.y - r.ymax)
+    far_x = max(abs(r.xmin - o.x), abs(r.xmax - o.x))
+    far_y = max(abs(r.ymin - o.y), abs(r.ymax - o.y))
+    return (math.hypot(near_x, near_y) <= o.range + w
+            and math.hypot(far_x, far_y) >= o.range - w)
+
+
+def random_pings(rng, grid, n):
+    """Pings around and beyond the window: some max-range, some along an
+    axis, some with the apex on a cell centre."""
+    win, size = grid.window, grid.cell_size
+    for _ in range(n):
+        x = rng.uniform(win.xmin - 1.5, win.xmax + 1.5)
+        y = rng.uniform(win.ymin - 1.5, win.ymax + 1.5)
+        if rng.random() < 0.25:
+            x = win.xmin + (rng.integers(grid.nx) + 0.5) * size
+            y = win.ymin + (rng.integers(grid.ny) + 0.5) * size
+        heading = rng.uniform(-math.pi, math.pi)
+        bearing = rng.uniform(-1.0, 1.0)
+        if rng.random() < 0.25:
+            heading, bearing = rng.integers(-1, 3) * (math.pi / 2), 0.0
+        half = math.radians(rng.uniform(1.0, 40.0))
+        max_range = 3.5
+        if rng.random() < 0.25:
+            yield SonarObs(x, y, heading, bearing, half, max_range, max_range, True)
+        else:
+            yield SonarObs(x, y, heading, bearing, half,
+                           rng.uniform(0.02, max_range), max_range, False)
+
+
+def test_sonar_update_is_bit_identical_to_scalar_definition():
+    p = BaselineParams()
+    rng = np.random.default_rng(19)
+    for grid in (GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25),
+                 GridSpec(Rect(-1.0, 0.5, 2.0, 2.5), 0.1)):
+        got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+        for o in random_pings(rng, grid, 150):
+            grid_update_sonar(got, o, p)
+            reference_sonar_update(want, o, p)
+            assert got.logodds.tobytes() == want.logodds.tobytes(), o
+        assert np.count_nonzero(got.logodds) > grid.nx * grid.ny // 2
+
+
+def test_sonar_box_wholly_outside_the_window_changes_nothing():
+    grid = GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25)
+    g = OccupancyGrid(grid)
+    grid_update_sonar(g, SonarObs(-0.5, 1.5, math.pi, 0.0, 0.3, 2.0, 3.5, False))
+    grid_update_sonar(g, SonarObs(2.0, 4.0, math.pi / 2, 0.0, 0.3, 3.5, 3.5, True))
+    assert not g.logodds.any()
+
+
+def test_sonar_reach_tie_follows_math_hypot():
+    # A max-range ping whose range is math.hypot's distance to one cell
+    # centre: that cell lies exactly on the range limit and is freed.  Where
+    # np.hypot rounds that distance up, only math.hypot keeps it in the cone.
+    grid = GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.05)
+    ox, oy = 0.513, 0.277
+
+    def offset(ix, iy):
+        x0, y0 = ix * 0.05, iy * 0.05
+        return 0.5 * (x0 + (x0 + 0.05)) - ox, 0.5 * (y0 + (y0 + 0.05)) - oy
+
+    cells = [(ix, iy) for iy in range(20, grid.ny) for ix in range(20, grid.nx)]
+    ix, iy = next((c for c in cells
+                   if np.hypot(*offset(*c)) > math.hypot(*offset(*c))), cells[0])
+    cx, cy = offset(ix, iy)
+    r = math.hypot(cx, cy)
+    o = SonarObs(ox, oy, math.atan2(cy, cx), 0.0, math.radians(10.0), r, r, True)
+    p = BaselineParams()
+    got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+    grid_update_sonar(got, o, p)
+    reference_sonar_update(want, o, p)
+    assert want.logodds[iy, ix] == -p.sonar_free
+    assert got.logodds.tobytes() == want.logodds.tobytes()
+
+
+def test_sonar_arc_band_is_closed():
+    # Squares that meet the band only at one corner, (0.75, 1.0) from the
+    # apex at distance 1.25: the far corner of cell (10, 11) at range - w,
+    # and the near corner of cell (11, 12) at range + w.  Both are on the arc.
+    grid = GridSpec(Rect(-2.0, -2.0, 2.0, 2.0), 0.25)
+    p = BaselineParams(sonar_arc_halfwidth=0.25)
+    for (ix, iy), r in (((10, 11), 1.5), ((11, 12), 1.0)):
+        cx, cy = -2.0 + (ix + 0.5) * 0.25, -2.0 + (iy + 0.5) * 0.25
+        o = SonarObs(0.0, 0.0, math.atan2(cy, cx), 0.0, 0.2, r, 3.5, False)
+        got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+        grid_update_sonar(got, o, p)
+        reference_sonar_update(want, o, p)
+        assert want.logodds[iy, ix] == p.sonar_occupied
+        assert got.logodds.tobytes() == want.logodds.tobytes()
+
+
+def test_rooms_baseline_is_pinned(tmp_path):
+    # The grid built from the rooms log of sim seed 0, the rooms_sonar
+    # benchmark input, bit for bit as the scalar definition builds it.
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--world", "rooms", "--sim-seed", "0", "--out", out]) == 0
+    log = read_scanlog(out + ".log")
+    cfg = RunConfig()
+    g = build_occupancy_grid(GridSpec(log.window, cfg.cell_size), log.lasers,
+                             log.sonars, cfg.baseline_params())
+    assert len(log.sonars) == 2_688 and not log.lasers
+    assert hashlib.sha256(g.logodds.tobytes()).hexdigest()[:16] == "36fa7e4268929136"

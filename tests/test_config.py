@@ -112,6 +112,8 @@ def test_validation_rejects_bad_ranges():
     ("sonar_transducers", "0"), ("point_sigma", "0"),
     ("baseline_sonar_arc_halfwidth", "-1"), ("point_grid_ny", "-3"),
     ("laser_w_uniform", "0"), ("sonar_w_uniform", "0"),
+    ("laser_sigma_floor", "0"), ("laser_sigma_frac", "-0.01"),
+    ("sonar_sigma", "0"), ("sonar_outlier_rate", "-1"),
 ])
 def test_validation_names_the_out_of_range_key(key, raw):
     # a mixture weight is named within the sum of its family's weights

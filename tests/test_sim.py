@@ -26,6 +26,7 @@ from prfmap.sim import (
     near_edge_mask,
     rooms_trajectory,
     simulate_laser_beam,
+    simulate_laser_scan,
     simulate_point_grid,
     simulate_sonar_ping,
     simulate_trajectory,
@@ -154,6 +155,31 @@ def test_corridor_simulation_log_is_pinned(tmp_path):
     text = (tmp_path / "sim.log").read_bytes()
     assert text.count(b"\n") > 5_400
     assert hashlib.sha256(text).hexdigest()[:16] == "67bfa8fd918d91ae"
+
+
+def test_laser_scan_matches_beam_by_beam_simulation():
+    # One batched cast per scan, then the draws in bearing order: the same
+    # readings and random stream as one simulate_laser_beam call per bearing.
+    col = make_world(WorldSpec("corridor"))
+    spec = LaserScanSpec()
+    params = LaserParams()
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for x, y, heading in ((1.5, 3.0, 0.3), (6.9, 2.6, 2.5), (4.0, 3.4, -1.0)):
+        scan = simulate_laser_scan(col, x, y, heading, spec, params, a)
+        beams = [simulate_laser_beam(col, x, y, heading, bearing, spec, params, b)
+                 for bearing in spec.bearings()]
+        assert scan == beams
+    assert a.random() == b.random()
+
+
+def test_rooms_simulation_log_is_pinned(tmp_path):
+    # The rooms log's ranges come from sonar_features over the true walls; a
+    # change to the sweep, the trajectory or the random stream changes this
+    # digest.
+    assert main(["simulate", "--world", "rooms", "--out", str(tmp_path / "sim")]) == 0
+    text = (tmp_path / "sim.log").read_bytes()
+    assert text.count(b"\n") > 2_688
+    assert hashlib.sha256(text).hexdigest()[:16] == "030ef2568930418f"
 
 
 def test_laser_readings_match_mixture_cdf():
