@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -102,11 +103,11 @@ class GridSpec:
     window: Rect
     cell_size: float
 
-    @property
+    @cached_property
     def nx(self) -> int:
         return max(1, math.ceil(self.window.width / self.cell_size - 1e-12))
 
-    @property
+    @cached_property
     def ny(self) -> int:
         return max(1, math.ceil(self.window.height / self.cell_size - 1e-12))
 
@@ -269,26 +270,37 @@ def sin_angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
     return min(1.0, s)
 
 
+def _slab(lo: float, hi: float, p0: float, d: float) -> tuple[float, float]:
+    """Unclamped parameter interval on which p0 + t * d lies in [lo, hi].
+
+    For d == 0 it is (-inf, inf) when p0 lies in [lo, hi] and the empty
+    (inf, -inf) otherwise.
+    """
+    if d == 0.0:
+        return (-math.inf, math.inf) if lo <= p0 <= hi else (math.inf, -math.inf)
+    ta = (lo - p0) / d
+    tb = (hi - p0) / d
+    return (ta, tb) if ta <= tb else (tb, ta)
+
+
+def _cell_slabs(origin: float, cell: float, i0: int, i1: int, p0: float,
+                d: float) -> list[tuple[float, float]]:
+    """:func:`_slab` of the closed cells i0..i1 of one grid axis."""
+    out = []
+    for i in range(i0, i1 + 1):
+        lo = origin + i * cell
+        out.append(_slab(lo, lo + cell, p0, d))
+    return out
+
+
 def clip_segment_to_rect(seg: Segment, rect: Rect):
     """Closed Liang-Barsky clip; returns (t0, t1) in [0, 1] or None."""
     (ax, ay), (bx, by) = seg
-    dx, dy = bx - ax, by - ay
-    t0, t1 = 0.0, 1.0
-    for d, lo, hi, p0 in ((dx, rect.xmin, rect.xmax, ax),
-                          (dy, rect.ymin, rect.ymax, ay)):
-        if d == 0.0:
-            if p0 < lo or p0 > hi:
-                return None
-            continue
-        ta = (lo - p0) / d
-        tb = (hi - p0) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return None
-    return (t0, t1)
+    xa, xb = _slab(rect.xmin, rect.xmax, ax, bx - ax)
+    ya, yb = _slab(rect.ymin, rect.ymax, ay, by - ay)
+    t0 = max(0.0, xa, ya)
+    t1 = min(1.0, xb, yb)
+    return (t0, t1) if t0 <= t1 else None
 
 
 def _index_range(lo: float, hi: float, origin: float, cell: float, n: int):
@@ -317,7 +329,17 @@ def grid_trace_segment(seg: Segment, grid: GridSpec) -> list[tuple[int, int]]:
 
 
 def grid_trace_with_entries(seg: Segment, grid: GridSpec) -> list[tuple[float, int, int]]:
-    """Supercover trace annotated with the entry parameter of each cell."""
+    """Supercover trace annotated with the entry parameter of each cell.
+
+    A cell's entry is its closed Liang-Barsky entry on the unclipped
+    segment, in [0, 1]: ``clip_segment_to_rect(seg, grid.cell_rect(ix,
+    iy))[0]``.  It is computed as the cell's column slab intersected with
+    its row slab, each slab computed once per trace, with the float
+    operations of that clip in the same order.  A cell that
+    :func:`_index_range` admits but whose own clip is empty (an exact
+    boundary contact lost to rounding) gets the window-clip ``t0``.  The
+    list is sorted by (entry, ix, iy).
+    """
     win = grid.window
     clip = clip_segment_to_rect(seg, win)
     if clip is None:
@@ -327,46 +349,38 @@ def grid_trace_with_entries(seg: Segment, grid: GridSpec) -> list[tuple[float, i
     dx, dy = bx - ax, by - ay
     px0, py0 = ax + t0 * dx, ay + t0 * dy
     px1, py1 = ax + t1 * dx, ay + t1 * dy
-    cell = grid.cell_size
-    ix0, ix1 = _index_range(min(px0, px1), max(px0, px1), win.xmin, cell, grid.nx)
+    cell, xmin, ymin, ny = grid.cell_size, win.xmin, win.ymin, grid.ny
+    ix0, ix1 = _index_range(min(px0, px1), max(px0, px1), xmin, cell, grid.nx)
+    ylo, yhi = min(py0, py1), max(py0, py1)
+    # Rounded ay + t * dy is monotone in t, so every column's row span lies
+    # inside the clipped segment's.
+    ry0, ry1 = _index_range(ylo, yhi, ymin, cell, ny)
+    rows = _cell_slabs(ymin, cell, ry0, ry1, ay, dy)
     cells: list[tuple[float, int, int]] = []
-    if ix0 > ix1:
-        return []
-    for ix in range(ix0, ix1 + 1):
-        x_lo = win.xmin + ix * cell
-        x_hi = x_lo + cell
+    for ix, (ta, tb) in enumerate(_cell_slabs(xmin, cell, ix0, ix1, ax, dx), ix0):
+        # max(0.0, ta), min(1.0, tb), max(ta, t0) and min(tb, t1) with their
+        # argument order kept, so signed zeros match clip_segment_to_rect.
+        cx0 = ta if ta > 0.0 else 0.0
+        cx1 = tb if tb < 1.0 else 1.0
         if dx == 0.0:
-            ya, yb = min(py0, py1), max(py0, py1)
+            ya, yb = ylo, yhi
         else:
-            ta = (x_lo - ax) / dx
-            tb = (x_hi - ax) / dx
-            if ta > tb:
-                ta, tb = tb, ta
-            ta = max(ta, t0)
-            tb = min(tb, t1)
-            if ta > tb:
+            ua = t0 if t0 > ta else ta
+            ub = t1 if t1 < tb else tb
+            if ua > ub:
                 continue
-            ya = ay + ta * dy
-            yb = ay + tb * dy
+            ya = ay + ua * dy
+            yb = ay + ub * dy
             if ya > yb:
                 ya, yb = yb, ya
-        iy0, iy1 = _index_range(ya, yb, win.ymin, cell, grid.ny)
+        iy0, iy1 = _index_range(ya, yb, ymin, cell, ny)
         for iy in range(iy0, iy1 + 1):
-            entry = _cell_entry_param(seg, grid.cell_rect(ix, iy))
-            if entry is None:
-                # Touches only through an exact boundary contact; order by
-                # the nearest clip of the infinite strip instead.
-                entry = t0
-            cells.append((entry, ix, iy))
+            sa, sb = rows[iy - ry0]
+            e0 = sa if sa > cx0 else cx0
+            e1 = sb if sb < cx1 else cx1
+            cells.append((e0 if e0 <= e1 else t0, ix, iy))
     cells.sort()
     return cells
-
-
-def _cell_entry_param(seg: Segment, rect: Rect):
-    clip = clip_segment_to_rect(seg, rect)
-    if clip is None:
-        return None
-    return clip[0]
 
 
 def ray_segment_intersection(origin: Point2, direction: tuple[float, float],

@@ -326,3 +326,16 @@ def test_rooms_baseline_is_pinned(tmp_path):
                              log.sonars, cfg.baseline_params())
     assert len(log.sonars) == 2_688 and not log.lasers
     assert hashlib.sha256(g.logodds.tobytes()).hexdigest()[:16] == "36fa7e4268929136"
+
+
+def test_corridor_baseline_is_pinned(tmp_path):
+    # The grid built from the corridor log of sim seed 0, the corridor_laser
+    # benchmark input, bit for bit as the per-cell supercover trace built it.
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--world", "corridor", "--sim-seed", "0", "--out", out]) == 0
+    log = read_scanlog(out + ".log")
+    cfg = RunConfig()
+    g = build_occupancy_grid(GridSpec(log.window, cfg.cell_size), log.lasers,
+                             log.sonars, cfg.baseline_params())
+    assert len(log.lasers) == 5_400 and not log.sonars
+    assert hashlib.sha256(g.logodds.tobytes()).hexdigest()[:16] == "2c33bd4f69cb6e64"

@@ -19,6 +19,7 @@ from prfmap.geometry import (
     Point2,
     Rect,
     Segment,
+    _index_range,
     boundary_arclength,
     boundary_point,
     boundary_tangent,
@@ -26,6 +27,7 @@ from prfmap.geometry import (
     crossing_parity,
     dist,
     grid_trace_segment,
+    grid_trace_with_entries,
     point_segment_distance,
     ray_rect_exit,
     ray_segment_intersection,
@@ -314,6 +316,101 @@ def test_supercover_matches_oracle(seed):
     got = grid_trace_segment(seg, grid)
     want = oracle_supercover(seg, grid)
     assert got == want
+
+
+def reference_trace_with_entries(seg, grid):
+    """Per-cell definition of the entry parameters.
+
+    The column walk admits cells by the closed index spans; each admitted
+    cell's entry is the t0 of its own closed clip, or the window-clip t0
+    when that clip is empty (a boundary contact lost to rounding).
+    """
+    win = grid.window
+    clip = clip_segment_to_rect(seg, win)
+    if clip is None:
+        return []
+    t0, t1 = clip
+    (ax, ay), (bx, by) = seg
+    dx, dy = bx - ax, by - ay
+    px0, py0 = ax + t0 * dx, ay + t0 * dy
+    px1, py1 = ax + t1 * dx, ay + t1 * dy
+    cell = grid.cell_size
+    ix0, ix1 = _index_range(min(px0, px1), max(px0, px1), win.xmin, cell, grid.nx)
+    cells = []
+    for ix in range(ix0, ix1 + 1):
+        x_lo = win.xmin + ix * cell
+        if dx == 0.0:
+            ya, yb = min(py0, py1), max(py0, py1)
+        else:
+            ta = (x_lo - ax) / dx
+            tb = (x_lo + cell - ax) / dx
+            if ta > tb:
+                ta, tb = tb, ta
+            ta, tb = max(ta, t0), min(tb, t1)
+            if ta > tb:
+                continue
+            ya, yb = sorted((ay + ta * dy, ay + tb * dy))
+        iy0, iy1 = _index_range(ya, yb, win.ymin, cell, grid.ny)
+        for iy in range(iy0, iy1 + 1):
+            own = clip_segment_to_rect(seg, grid.cell_rect(ix, iy))
+            cells.append((t0 if own is None else own[0], ix, iy))
+    cells.sort()
+    return cells
+
+
+# The extent (2.17 x 1.23) is a multiple of none of the cell sizes.
+TRACE_WINDOW = Rect(-0.3, 0.1, 1.87, 1.33)
+
+
+@st.composite
+def grid_and_segment(draw):
+    """A grid and a segment drawn to hit the trace's edge cases: endpoints
+    on cell lines and corners, axis-parallel segments (on a cell boundary
+    when the shared coordinate is snapped), zero-length segments, and
+    segments partly or wholly outside the window."""
+    cell = draw(st.sampled_from((0.05, 0.25, 0.5)))
+    grid = GridSpec(TRACE_WINDOW, cell)
+    w = grid.window
+
+    def coord(lo, hi, n):
+        return draw(st.one_of(
+            st.floats(lo - 0.5, hi + 0.5),
+            st.integers(-2, n + 2).map(lambda k: lo + k * cell)))
+
+    ax, ay = coord(w.xmin, w.xmax, grid.nx), coord(w.ymin, w.ymax, grid.ny)
+    kind = draw(st.sampled_from(("free", "horizontal", "vertical", "point")))
+    bx = ax if kind in ("vertical", "point") else coord(w.xmin, w.xmax, grid.nx)
+    by = ay if kind in ("horizontal", "point") else coord(w.ymin, w.ymax, grid.ny)
+    return grid, Segment(Point2(ax, ay), Point2(bx, by))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(grid_and_segment())
+def test_trace_entries_match_per_cell_clip(case):
+    grid, seg = case
+    got = grid_trace_with_entries(seg, grid)
+    want = reference_trace_with_entries(seg, grid)
+    # float.hex compares bit for bit, signed zeros included.
+    assert [(t.hex(), ix, iy) for t, ix, iy in got] == \
+        [(t.hex(), ix, iy) for t, ix, iy in want]
+
+
+@settings(max_examples=500, deadline=None)
+@given(grid_and_segment(), st.integers(0, 10**9))
+def test_clip_entry_matches_interval_oracle(case, seed):
+    # The clip's t0 is the interval definition's, bit for bit, on window
+    # and cell rectangles.
+    grid, seg = case
+    rng = random.Random(seed)
+    rects = [grid.window] + [grid.cell_rect(rng.randrange(grid.nx), rng.randrange(grid.ny))
+                             for _ in range(10)]
+    for c in grid_trace_segment(seg, grid):
+        rects.append(grid.cell_rect(*c))
+    for rect in rects:
+        clip = clip_segment_to_rect(seg, rect)
+        want = oracle_rect_segment_overlap(rect, seg)
+        assert (None if clip is None else clip[0].hex()) == \
+            (None if want is None else want.hex())
 
 
 def test_supercover_front_to_back_order():
