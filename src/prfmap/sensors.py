@@ -26,10 +26,18 @@ current *sensitivity extent* (beam up to the impact point; cone up to the
 farthest contact), and on each proposed edit recomputes only the
 observations whose extent the edit touches.  An edit that changes the color
 of any sensor position has likelihood zero and returns -inf before anything
-is evaluated.  The cache keeps no cell index: each changed segment is tested
-against every cone in one vectorised pass, and against the beams whose
-``[sensor, impact]`` box lies near its own box; the touched beams are then
-cast together in one :func:`cast_beams` call.
+is evaluated.  The cache keeps no cell index.  All changed segments are
+tested at once: every observation keeps a box around its extent, one numpy
+pass meets every segment's box with every observation's, and the exact
+tests run in one pass over the (segment, beam) and one over the (segment,
+cone) pairs whose boxes meet.  The touched beams are cast together in one
+:func:`cast_beams` call and their densities computed over arrays.
+
+The batched paths give the scalar functions' results bit for bit: numpy
+arithmetic runs the scalar's operations in the scalar's order, ``exp`` and
+``log`` go through :mod:`math` (numpy's SIMD versions may differ from it in
+the last bit), and a likelihood delta or a recomputed total is summed left
+to right, as a Python loop adds, not by numpy's pairwise ``sum``.
 """
 
 from __future__ import annotations
@@ -292,6 +300,22 @@ def _laser_density_log(r: float, flagged: bool, d_star: float,
     return math.log(dens) if dens > 0.0 else -math.inf
 
 
+def _laser_density_log_batch(r: np.ndarray, flagged: np.ndarray, d_star: np.ndarray,
+                             max_range: np.ndarray, p: LaserParams) -> np.ndarray:
+    """:func:`_laser_density_log` of each reading, bit for bit.
+
+    The arithmetic is the scalar's, operation by operation; ``exp`` and
+    ``log`` are :mod:`math`'s, since numpy's may round differently.
+    """
+    sigma = np.maximum(p.sigma_frac * d_star, p.sigma_floor)
+    z = (r - d_star) / sigma
+    gauss = (np.fromiter(map(math.exp, (-0.5 * z * z).tolist()), np.float64, len(z))
+             / (sigma * _SQRT_2PI))
+    dens = p.w_gauss * gauss + p.w_uniform / max_range
+    dens = np.where(flagged, dens + p.w_maxrange, dens)
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in dens.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # sonar model
 
@@ -369,18 +393,19 @@ def _sonar_eval(o: SonarObs, col: Coloring, p: SonarParams) -> tuple[float, floa
 _TOUCH_EPS = 1e-9
 
 
+def _orient(ox, oy, px, py, qx, qy):
+    """Cross product ``(p - o) x (q - o)``: twice the signed area of o, p, q."""
+    return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+
+
 def _seg_batch_min_dist(ax, ay, bx, by, seg: Segment) -> np.ndarray:
     """Min distance between segments (a[i], b[i]) and a fixed segment."""
     sax, say = seg.a
     sbx, sby = seg.b
-
-    def orient(ox, oy, px_, py_, qx, qy):
-        return (px_ - ox) * (qy - oy) - (py_ - oy) * (qx - ox)
-
-    d1 = orient(sax, say, sbx, sby, ax, ay)
-    d2 = orient(sax, say, sbx, sby, bx, by)
-    d3 = orient(ax, ay, bx, by, np.float64(sax), np.float64(say))
-    d4 = orient(ax, ay, bx, by, np.float64(sbx), np.float64(sby))
+    d1 = _orient(sax, say, sbx, sby, ax, ay)
+    d2 = _orient(sax, say, sbx, sby, bx, by)
+    d3 = _orient(ax, ay, bx, by, np.float64(sax), np.float64(say))
+    d4 = _orient(ax, ay, bx, by, np.float64(sbx), np.float64(sby))
     proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) \
         & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
 
@@ -393,13 +418,56 @@ def _seg_batch_min_dist(ax, ay, bx, by, seg: Segment) -> np.ndarray:
     return d
 
 
-def _wedge_clip_distance(px, py, ulox, uloy, uhix, uhiy, seg: Segment) -> np.ndarray:
+# A pair of segments that do not cross properly is within _TOUCH_EPS only if
+# an endpoint of one lies within _TOUCH_EPS of the other segment, hence of its
+# line: |orient| = L * (line distance) <= _TOUCH_EPS * L, with L the length of
+# the segment the line runs along.  The computed orient and point-segment
+# distance are off by a few ulps of coordinate products, about
+# 1e-15 * L * (L + |coordinates|) in all.  Testing |orient| against
+# _NEAR_LINE * (|dx| + |dy|) >= _NEAR_LINE * L leaves a slack of at least
+# _TOUCH_EPS * L, which covers that for lengths and coordinates up to about
+# 1e5 m.  A zero-length segment has orient exactly 0 and always passes.
+_NEAR_LINE = 2.0 * _TOUCH_EPS
+
+
+def _segments_touch(ax, ay, bx, by, cx, cy, ex, ey) -> np.ndarray:
+    """Whether segments (a[i], b[i]) and (c[i], e[i]) lie within _TOUCH_EPS.
+
+    Pair by pair the same decision as ``_seg_batch_min_dist(...) <=
+    _TOUCH_EPS``, with its operations, except that the four point-segment
+    distances are taken only where an endpoint lies near the other
+    segment's line (see ``_NEAR_LINE``).
+    """
+    d1 = _orient(cx, cy, ex, ey, ax, ay)
+    d2 = _orient(cx, cy, ex, ey, bx, by)
+    d3 = _orient(ax, ay, bx, by, cx, cy)
+    d4 = _orient(ax, ay, bx, by, ex, ey)
+    touch = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) \
+        & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+    near = ~touch & (
+        (np.minimum(np.abs(d1), np.abs(d2))
+         <= _NEAR_LINE * (np.abs(ex - cx) + np.abs(ey - cy)))
+        | (np.minimum(np.abs(d3), np.abs(d4))
+           <= _NEAR_LINE * (np.abs(bx - ax) + np.abs(by - ay))))
+    k = np.flatnonzero(near)
+    ax, ay, bx, by, cx, cy, ex, ey = (v[k] for v in (ax, ay, bx, by, cx, cy, ex, ey))
+    d = np.minimum(
+        np.minimum(point_segment_distance_batch(ax, ay, cx, cy, ex, ey),
+                   point_segment_distance_batch(bx, by, cx, cy, ex, ey)),
+        np.minimum(point_segment_distance_batch(cx, cy, ax, ay, bx, by),
+                   point_segment_distance_batch(ex, ey, ax, ay, bx, by)))
+    touch[k] = d <= _TOUCH_EPS
+    return touch
+
+
+def _wedge_clip_distance(px, py, ulox, uloy, uhix, uhiy, seg) -> np.ndarray:
     """Apex distance of the piece of seg inside each wedge; inf if none.
 
     Wedge i has apex (px[i], py[i]) and bounding unit vectors u_lo[i],
     u_hi[i].  This is :func:`geometry._clip_to_wedge` followed by the
     apex-to-piece distance that :func:`visibility_sweep` compares with the
     range, done with the same float operations over all wedges at once.
+    The coordinates of ``seg`` may also be arrays, one segment per wedge.
     """
     (ax, ay), (bx, by) = seg
     dx, dy = bx - ax, by - ay
@@ -434,15 +502,23 @@ class ObservationCache:
     changed segment, and cones whose wedge holds a piece of a changed
     segment within ``_TOUCH_EPS`` of the truncated radius — and
     ``commit``/``rollback`` finalize or discard the staging.  No cell index
-    is kept.  Cones are tested against every changed segment in one numpy
-    pass.  Beams are first filtered by box: a beam's ``[sensor, impact]``
-    box and the segment's box, each widened by ``_TOUCH_EPS``, must meet,
-    which every beam within ``_TOUCH_EPS`` of the segment does, and only the
-    beams that pass get the exact distance test.  The touched beams are
-    cast in one :func:`cast_beams` call against caps (window exit or max
-    range) computed once at construction; a re-evaluated cone gathers its
+    is kept.  Observations are first filtered by box, all segments at once:
+    an observation's box, kept and renewed with its extent (see
+    :meth:`_store`), must meet the segment's box widened by ``_TOUCH_EPS``.
+    The (segment, beam) pairs that pass get the exact distance test in one
+    pass (:func:`_segments_touch`), the (segment, cone) pairs the wedge clip
+    in another (:func:`_wedge_clip_distance`).  The touched beams are cast
+    in one :func:`cast_beams` call against caps (window exit or max range)
+    computed once at construction, and their densities are computed over
+    arrays (:func:`_laser_density_log_batch`); a re-evaluated cone gathers its
     candidate edges from the coloring's index by :meth:`Cone.bbox`, as
-    :func:`sonar_features` does.
+    :func:`sonar_features` does.  The staging holds arrays of observation
+    indices, log likelihoods and extents.
+
+    Every cached value equals the scalar functions' bit for bit
+    (``laser_log_likelihood``, ``sonar_log_likelihood``), and a delta or a
+    :meth:`recompute_total` is summed left to right in increasing
+    observation index.
 
     The construction-time coloring must give every sensor a free (white)
     position.  A state with a black sensor has likelihood zero and is never
@@ -464,7 +540,13 @@ class ObservationCache:
         self.sy = np.array([o.y for o in self.obs], dtype=np.float64)
         self.ll = np.zeros(n, dtype=np.float64)
 
-        # laser geometry: beam directions, caps and impact points
+        # each observation's box (xlo, xhi, ylo, yhi), renewed with its extent
+        self.box = np.zeros((4, n))
+
+        # laser readings, beam directions, caps and impact points
+        self.reading = np.array([o.range for o in lasers], dtype=np.float64)
+        self.flagged = np.array([o.is_max_range for o in lasers], dtype=bool)
+        self.max_range = np.array([o.max_range for o in lasers], dtype=np.float64)
         self.dirx = np.zeros(n)
         self.diry = np.zeros(n)
         self.cap = np.zeros(n)
@@ -486,16 +568,27 @@ class ObservationCache:
             c = sonar_cone(o)
             self.ulox[i], self.uloy[i] = unit_vector(c.heading - c.half_angle)
             self.uhix[i], self.uhiy[i] = unit_vector(c.heading + c.half_angle)
+        # how far toward -x, +x, -y and +y each wedge reaches per unit of
+        # radius: 1 where its arc crosses that axis direction, else the
+        # farther of its two edges (or 0, the apex)
+        lox, loy, hix, hiy = (v[self.n_laser:] for v in (self.ulox, self.uloy,
+                                                          self.uhix, self.uhiy))
+        self.reach = np.array([
+            np.where((loy >= 0.0) & (hiy <= 0.0), 1.0, np.maximum(0.0, -np.minimum(lox, hix))),
+            np.where((loy <= 0.0) & (hiy >= 0.0), 1.0, np.maximum(0.0, np.maximum(lox, hix))),
+            np.where((lox <= 0.0) & (hix >= 0.0), 1.0, np.maximum(0.0, -np.minimum(loy, hiy))),
+            np.where((lox >= 0.0) & (hix <= 0.0), 1.0, np.maximum(0.0, np.maximum(loy, hiy)))])
 
         if bool(col.colors_at(self.sx, self.sy).any()):
             raise ValueError("every sensor position must start in free space")
-        for i, ll, ext in self._evaluate(np.arange(n), col):
-            if ll == -math.inf:
-                raise ValueError(f"observation {i} starts with zero likelihood")
-            self.ll[i] = ll
-            self._set_extent(i, ext)
+        every = np.arange(n)
+        ll, ext = self._evaluate(every, col)
+        zero = np.flatnonzero(ll == -math.inf)
+        if len(zero):
+            raise ValueError(f"observation {zero[0]} starts with zero likelihood")
+        self._store(every, ll, ext)
         self._total = float(self.ll.sum())
-        self._staged: list[tuple[int, float, float]] | None = None
+        self._staged: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._staged_delta = 0.0
 
     # -- protocol ---------------------------------------------------------
@@ -506,19 +599,15 @@ class ObservationCache:
     def delta_for_edit(self, col: Coloring, result) -> float:
         if len(changed_points(col, result, self.sx, self.sy)):
             return -math.inf
-        staged = self._evaluate(self._touched_observations(result.delta_segments), col)
-        delta = 0.0
-        for i, ll, _ in staged:
-            delta += ll - self.ll[i]
-        self._staged = staged
-        self._staged_delta = delta
-        return delta
+        idx = self._touched_observations(result.delta_segments)
+        ll, ext = self._evaluate(idx, col)
+        self._staged = (idx, ll, ext)
+        self._staged_delta = _running_sum(ll - self.ll[idx])
+        return self._staged_delta
 
     def commit(self) -> None:
         assert self._staged is not None
-        for i, ll, ext in self._staged:
-            self.ll[i] = ll
-            self._set_extent(i, ext)
+        self._store(*self._staged)
         self._total += self._staged_delta
         self._staged = None
 
@@ -531,66 +620,93 @@ class ObservationCache:
         """From-scratch total log likelihood of the current coloring."""
         if bool(col.colors_at(self.sx, self.sy).any()):
             return -math.inf
-        total = 0.0
-        for _, ll, _ in self._evaluate(np.arange(len(self.obs)), col):
-            total += ll
-        return total
+        return _running_sum(self._evaluate(np.arange(len(self.obs)), col)[0])
 
     # -- internals --------------------------------------------------------
 
     def _touched_observations(self, delta_segs) -> np.ndarray:
+        """Indices of the observations any of the segments touches.
+
+        The exact tests run only on the (segment, observation) pairs whose
+        boxes meet, the segment's box widened by ``_TOUCH_EPS`` (see
+        :meth:`_store` for the observations' boxes).
+        """
         nl = self.n_laser
+        ax, ay, bx, by = np.array(delta_segs, dtype=np.float64).reshape(-1, 4).T
+        xlo, xhi, ylo, yhi = self.box
+        near = ((xlo <= (np.maximum(ax, bx) + _TOUCH_EPS)[:, None])
+                & (xhi >= (np.minimum(ax, bx) - _TOUCH_EPS)[:, None])
+                & (ylo <= (np.maximum(ay, by) + _TOUCH_EPS)[:, None])
+                & (yhi >= (np.minimum(ay, by) - _TOUCH_EPS)[:, None]))
         hit = np.zeros(len(self.obs), dtype=bool)
         if nl:
-            beams = hit[:nl]
-            sx, sy = self.sx[:nl], self.sy[:nl]
-            ix, iy = self.impact_x[:nl], self.impact_y[:nl]
-            # A beam within _TOUCH_EPS of a segment has its box within
-            # _TOUCH_EPS of the segment's box, so widening both boxes by it
-            # keeps every touched beam, with room to spare for rounding.
-            xlo, xhi = np.minimum(sx, ix) - _TOUCH_EPS, np.maximum(sx, ix) + _TOUCH_EPS
-            ylo, yhi = np.minimum(sy, iy) - _TOUCH_EPS, np.maximum(sy, iy) + _TOUCH_EPS
-            for seg in delta_segs:
-                (ax, ay), (bx, by) = seg
-                near = np.flatnonzero(
-                    (xlo <= max(ax, bx) + _TOUCH_EPS) & (xhi >= min(ax, bx) - _TOUCH_EPS)
-                    & (ylo <= max(ay, by) + _TOUCH_EPS) & (yhi >= min(ay, by) - _TOUCH_EPS))
-                d = _seg_batch_min_dist(sx[near], sy[near], ix[near], iy[near], seg)
-                beams[near[d <= _TOUCH_EPS]] = True
+            seg, beam = np.nonzero(near[:, :nl])
+            touch = _segments_touch(self.sx[beam], self.sy[beam], self.impact_x[beam],
+                                    self.impact_y[beam], ax[seg], ay[seg], bx[seg], by[seg])
+            hit[beam[touch]] = True
         if len(self.obs) > nl:
-            cones = hit[nl:]
-            for seg in delta_segs:
-                d = _wedge_clip_distance(self.sx[nl:], self.sy[nl:], self.ulox[nl:],
-                                         self.uloy[nl:], self.uhix[nl:], self.uhiy[nl:], seg)
-                cones |= d <= self.trunc_radius[nl:] + _TOUCH_EPS
+            seg, cone = np.nonzero(near[:, nl:])
+            cone += nl
+            d = _wedge_clip_distance(self.sx[cone], self.sy[cone], self.ulox[cone],
+                                     self.uloy[cone], self.uhix[cone], self.uhiy[cone],
+                                     ((ax[seg], ay[seg]), (bx[seg], by[seg])))
+            hit[cone[d <= self.trunc_radius[cone] + _TOUCH_EPS]] = True
         return np.flatnonzero(hit)
 
-    def _evaluate(self, idx: np.ndarray, col: Coloring) -> list[tuple[int, float, float]]:
-        """``(i, log likelihood, extent)`` for each observation i in the
-        increasing indices ``idx``, whose sensors are all free.
+    def _evaluate(self, idx: np.ndarray, col: Coloring) -> tuple[np.ndarray, np.ndarray]:
+        """Log likelihood and extent of each observation in the increasing
+        indices ``idx``, whose sensors are all free.
 
         The beams among them are cast in one :func:`cast_beams` call.
         """
         k = int(np.searchsorted(idx, self.n_laser))
-        out = []
+        ll = np.empty(len(idx))
+        ext = np.empty(len(idx))
         if k:
-            beams = idx[:k]
-            d_star, _ = cast_beams(col, self.sx[beams], self.sy[beams], self.dirx[beams],
-                                   self.diry[beams], self.cap[beams])
-            for i, d in zip(beams.tolist(), d_star.tolist()):
-                o = self.obs[i]
-                out.append((i, _laser_density_log(o.range, o.is_max_range, d,
-                                                  o.max_range, self.lp), d))
-        for i in idx[k:].tolist():
-            out.append((i, *_sonar_eval(self.obs[i], col, self.sp)))
-        return out
+            b = idx[:k]
+            ext[:k], _ = cast_beams(col, self.sx[b], self.sy[b], self.dirx[b],
+                                    self.diry[b], self.cap[b])
+            ll[:k] = _laser_density_log_batch(self.reading[b], self.flagged[b], ext[:k],
+                                              self.max_range[b], self.lp)
+        for j, i in enumerate(idx[k:].tolist(), k):
+            ll[j], ext[j] = _sonar_eval(self.obs[i], col, self.sp)
+        return ll, ext
 
-    def _set_extent(self, i: int, ext: float) -> None:
-        if i < self.n_laser:
-            self.impact_x[i] = self.sx[i] + ext * self.dirx[i]
-            self.impact_y[i] = self.sy[i] + ext * self.diry[i]
-        else:
-            self.trunc_radius[i] = ext
+    def _store(self, idx: np.ndarray, ll: np.ndarray, ext: np.ndarray) -> None:
+        """Cache log likelihoods and extents of the increasing indices ``idx``,
+        and renew their boxes.
+
+        A beam within ``_TOUCH_EPS`` of a segment has its ``[sensor, impact]``
+        box within ``_TOUCH_EPS`` of the segment's box, and a cone touched by
+        a segment has a point of it in its wedge within its truncated radius
+        plus ``_TOUCH_EPS`` of the apex.  So a beam's box is its ``[sensor,
+        impact]`` box widened by ``_TOUCH_EPS``, and a cone's box that of its
+        sector of that radius (as :meth:`Cone.bbox` bounds a sector): with
+        the segment's own widening, every touched pair's boxes meet, with
+        room to spare for rounding.
+        """
+        self.ll[idx] = ll
+        k = int(np.searchsorted(idx, self.n_laser))
+        b, c = idx[:k], idx[k:]
+        box = self.box
+        sx, sy = self.sx[b], self.sy[b]
+        ix = self.impact_x[b] = sx + ext[:k] * self.dirx[b]
+        iy = self.impact_y[b] = sy + ext[:k] * self.diry[b]
+        box[0, b] = np.minimum(sx, ix) - _TOUCH_EPS
+        box[1, b] = np.maximum(sx, ix) + _TOUCH_EPS
+        box[2, b] = np.minimum(sy, iy) - _TOUCH_EPS
+        box[3, b] = np.maximum(sy, iy) + _TOUCH_EPS
+        self.trunc_radius[c] = ext[k:]
+        r, j = ext[k:] + _TOUCH_EPS, c - self.n_laser
+        box[0, c] = self.sx[c] - r * self.reach[0, j]
+        box[1, c] = self.sx[c] + r * self.reach[1, j]
+        box[2, c] = self.sy[c] - r * self.reach[2, j]
+        box[3, c] = self.sy[c] + r * self.reach[3, j]
+
+
+def _running_sum(a: np.ndarray) -> float:
+    """``0.0 + a[0] + a[1] + ...`` left to right, as a Python loop adds."""
+    return float(np.cumsum(np.concatenate(([0.0], a)))[-1])
 
 
 def _sweep_contact_radius_points(triples, o: SonarObs) -> float:

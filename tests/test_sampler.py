@@ -1,11 +1,12 @@
 """Chain mechanics: determinism, incremental trackers, annealing, accumulators."""
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 
-from prfmap.cli import main, run_posterior_chain
+from prfmap.cli import cmd_simulate, main, run_posterior_chain
 from prfmap.coloring import Coloring
 from prfmap.config import RunConfig
 from prfmap.geometry import GridSpec, Rect
@@ -57,6 +58,22 @@ def test_move_stream_is_pinned():
     assert sum(r[1] for r in rows) == 2_190
     assert sum(r[2] for r in rows) == 1_105
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "1091bffac5ba8664"
+
+
+def test_corridor_laser_chain_is_pinned(tmp_path):
+    # The corridor_laser benchmark chain (sim seed 0, chain seed 0): any
+    # change to the laser likelihood path, the touched set or a delta's last
+    # bit moves this trajectory, which the prior-only tests above never run.
+    cfg = dataclasses.replace(RunConfig(), world="corridor", seed=0, sim_seed=0,
+                              proposals=2_000, burn_in=200, sample_every=20, chains=1)
+    assert cmd_simulate(cfg, str(tmp_path / "corridor")) == 0
+    log = read_scanlog(str(tmp_path / "corridor.log"))
+    assert len(log.lasers) == 5_400 and not log.sonars
+    _, samp, _ = run_posterior_chain(log, cfg, 0)
+    st = samp.stats
+    assert (st.proposals, st.applied, st.accepted) == (2_000, 774, 102)
+    sig = hashlib.sha256(repr(samp.col.geometry_signature()).encode()).hexdigest()[:16]
+    assert sig == "1e803587bbd22583"
 
 
 def test_tally_accounting():

@@ -31,6 +31,7 @@ from prfmap.prior import PriorParams
 from prfmap.sampler import Sampler, run_chain
 from prfmap.sensors import (_TOUCH_EPS, CompositeLikelihood, LaserObs,
                             LaserParams, _laser_density_log,
+                            _laser_density_log_batch,
                             _seg_batch_min_dist, _wedge_clip_distance,
                             ObservationCache, beam_cap, cast_beams,
                             PointColorLikelihood, PointColorObs, SonarObs,
@@ -255,6 +256,33 @@ def test_laser_density_underflow_is_zero_likelihood():
     assert _laser_density_log(0.79, False, 3.0, 8.0, p) == -math.inf
     assert _laser_density_log(0.79, True, 3.0, 8.0, p) == pytest.approx(math.log(0.1))
     assert math.isfinite(_laser_density_log(3.0, False, 3.0, 8.0, p))
+
+
+def test_batched_laser_density_matches_scalar_bit_for_bit():
+    rng = np.random.default_rng(31)
+    n = 5_000
+    checked = {"floor": 0, "flagged": 0, "at_cap": 0, "zero": 0}
+    for p in (LaserParams(), LaserParams(w_gauss=0.9, w_uniform=0.0, w_maxrange=0.1)):
+        max_range = rng.choice([4.0, 8.0], n)
+        d_star = rng.uniform(0.0, 1.0, n) * max_range
+        d_star[:n // 5] = rng.uniform(0.001, 0.9, n // 5)   # sigma on its floor
+        d_star[-n // 10:] = max_range[-n // 10:]            # beam reached its cap
+        # most readings within a few sigma, where the Gaussian term dominates
+        # and a last-bit difference in exp would show; some anywhere
+        r = d_star + rng.normal(0.0, 3.0, n) * np.maximum(0.01 * d_star, 0.01)
+        anywhere = rng.random(n) < 0.2
+        r[anywhere] = rng.uniform(0.0, 1.0, anywhere.sum()) * max_range[anywhere]
+        r = np.clip(r, 1e-3, max_range)
+        flagged = (r == max_range) | (rng.random(n) < 0.1)
+        got = _laser_density_log_batch(r, flagged, d_star, max_range, p)
+        want = np.array([_laser_density_log(*args, p) for args in zip(
+            r.tolist(), flagged.tolist(), d_star.tolist(), max_range.tolist())])
+        assert got.tobytes() == want.tobytes()
+        checked["floor"] += int((0.01 * d_star < 0.01).sum())
+        checked["flagged"] += int(flagged.sum())
+        checked["at_cap"] += int((d_star == max_range).sum())
+        checked["zero"] += int((want == -math.inf).sum())
+    assert all(v >= 100 for v in checked.values()), checked
 
 
 def test_sample_with_underflowing_laser_names_the_observation(tmp_path, capsys,
@@ -579,11 +607,12 @@ def test_cache_total_tracks_recomputation_over_chain():
         def on_accept(self, col, result):
             for i, o in enumerate(cache.obs):
                 if i < cache.n_laser:
-                    want = laser_log_likelihood(o, col, cache.lp)
+                    assert cache.ll[i] == laser_log_likelihood(o, col, cache.lp), \
+                        f"observation {i} stale after accept {self.checks}"
                 else:
                     want = sonar_log_likelihood(o, col, cache.sp)
-                assert cache.ll[i] == pytest.approx(want, rel=1e-12), \
-                    f"observation {i} stale after accept {self.checks}"
+                    assert cache.ll[i] == pytest.approx(want, rel=1e-12), \
+                        f"observation {i} stale after accept {self.checks}"
             # the flipped-sensor early exit rests on this: no accepted
             # state ever puts a sensor in occupied space
             assert not col.colors_at(cache.sx, cache.sy).any(), \
@@ -705,6 +734,135 @@ def test_box_prefilter_keeps_exactly_the_touched_beams():
         assert got == _touched_beams_unfiltered(cache, [seg]), seg
         touched += bool(got)
     assert 0 < touched < len(segs)
+    # segments that meet a beam exactly: zero length on its line, collinear
+    # with it and overlapping it, and ending exactly at its impact point
+    exact = []
+    for i in range(0, len(lasers), 3):
+        sx, sy = float(cache.sx[i]), float(cache.sy[i])
+        ix, iy = float(cache.impact_x[i]), float(cache.impact_y[i])
+        mx, my = 0.5 * (sx + ix), 0.5 * (sy + iy)
+        qx, qy = sx + 0.75 * (ix - sx), sy + 0.75 * (iy - sy)
+        exact += [Segment(Point2(sx, sy), Point2(sx, sy)),
+                  Segment(Point2(ix, iy), Point2(ix, iy)),
+                  Segment(Point2(mx, my), Point2(mx, my)),
+                  Segment(Point2(mx, my), Point2(2.0 * ix - qx, 2.0 * iy - qy)),
+                  Segment(Point2(ix + 0.2, iy - 0.3), Point2(ix, iy)),
+                  Segment(Point2(ix, iy), Point2(ix - 0.1, iy + 0.4))]
+    for seg in exact:
+        got = cache._touched_observations([seg]).tolist()
+        assert got == _touched_beams_unfiltered(cache, [seg]), seg
+        assert got, seg
+    # several segments in one call: the one pass equals the union of the
+    # per-segment references
+    rng = np.random.default_rng(11)
+    every = segs + exact
+    for k in range(200):
+        group = [every[j] for j in rng.choice(len(every), size=1 + k % 6, replace=False)]
+        assert cache._touched_observations(group).tolist() == \
+            _touched_beams_unfiltered(cache, group), group
+    assert cache._touched_observations(every).tolist() == \
+        _touched_beams_unfiltered(cache, every)
+
+
+def _touched_cones_unfiltered(cache, segs) -> list[int]:
+    """Every cone a segment touches, by one wedge pass per segment over all."""
+    c = slice(cache.n_laser, None)
+    hit = np.zeros(len(cache.obs) - cache.n_laser, dtype=bool)
+    for seg in segs:
+        hit |= _wedge_clip_distance(cache.sx[c], cache.sy[c], cache.ulox[c], cache.uloy[c],
+                                    cache.uhix[c], cache.uhiy[c], seg) \
+            <= cache.trunc_radius[c] + _TOUCH_EPS
+    return (cache.n_laser + np.flatnonzero(hit)).tolist()
+
+
+def test_box_prefilter_keeps_exactly_the_touched_cones():
+    col = wall_scene()
+    rng = np.random.default_rng(19)
+    lasers, sonars, _ = _random_observations(col, rng, n_laser=30, n_sonar=40, n_point=0)
+    # short cones, whose boxes leave out most of the window
+    while len(sonars) < 80:
+        x, y = rng.uniform(0.1, 3.9), rng.uniform(0.1, 2.9)
+        if col.color_at(Point2(x, y)) == 0:
+            r = rng.uniform(0.2, 1.0)
+            sonars.append(SonarObs(x, y, rng.uniform(0, 2 * math.pi), 0.0,
+                                   math.radians(15.0), r, 1.0, r >= 1.0))
+    # cones along the axes, whose boxes are as tight as a box gets around them;
+    # the last one sees the wall square on
+    sonars += [SonarObs(1.0, 1.5, h, 0.0, math.radians(15.0), 0.6, 1.0)
+               for h in (0.0, math.pi / 2, math.pi, -math.pi / 2)]
+    sonars.append(SonarObs(1.5, 1.5, 0.0, 0.0, math.radians(15.0), 0.5, 1.0))
+    cache = ObservationCache(col, lasers, sonars)
+
+    def unfiltered(segs):
+        return _touched_beams_unfiltered(cache, segs) + _touched_cones_unfiltered(cache, segs)
+
+    checked = {"edits": 0, "cones": 0}
+
+    class Checked:
+        """Passes each proposed edit through after comparing both passes."""
+        def log_likelihood(self):
+            return cache.log_likelihood()
+
+        def delta_for_edit(self, col, result):
+            got = cache._touched_observations(result.delta_segments).tolist()
+            assert got == unfiltered(result.delta_segments)
+            checked["edits"] += 1
+            checked["cones"] += sum(i >= cache.n_laser for i in got)
+            delta = cache.delta_for_edit(col, result)
+            if not col.colors_at(cache.sx, cache.sy).any():
+                # the delta is the scalar likelihoods' changes added left to
+                # right in increasing index, bit for bit
+                want = 0.0
+                for i in got:
+                    o = cache.obs[i]
+                    want += (laser_log_likelihood(o, col, cache.lp) if i < cache.n_laser
+                             else sonar_log_likelihood(o, col, cache.sp)) - cache.ll[i]
+                assert delta == want
+            return delta
+
+        def commit(self):
+            cache.commit()
+
+        def rollback(self):
+            cache.rollback()
+
+    samp = Sampler(col, PriorParams(intensity=0.3), MoveParams(),
+                   np.random.default_rng(20), Checked())
+    run_chain(samp, 1000)
+    assert samp.stats.accepted > 20 and checked["cones"] > 500, checked
+    # segments across each cone's axis about its truncated radius plus
+    # _TOUCH_EPS from the apex, the limit of the touch test
+    segs = []
+    n = len(cache.obs)
+    for i in [*range(cache.n_laser, n, 7), *range(n - 5, n)]:
+        ax, ay = float(cache.sx[i]), float(cache.sy[i])
+        hx, hy = float(cache.ulox[i] + cache.uhix[i]), float(cache.uloy[i] + cache.uhiy[i])
+        ux, uy = hx / math.hypot(hx, hy), hy / math.hypot(hx, hy)
+        for gap in (-_TOUCH_EPS, 0.5 * _TOUCH_EPS, _TOUCH_EPS, 2.0 * _TOUCH_EPS,
+                    3.0 * _TOUCH_EPS):
+            reach = float(cache.trunc_radius[i]) + gap
+            px, py = ax + reach * ux, ay + reach * uy
+            segs.append(Segment(Point2(px - 0.01 * uy, py + 0.01 * ux),
+                                Point2(px + 0.01 * uy, py - 0.01 * ux)))
+    touched = 0
+    for seg in segs:
+        got = cache._touched_observations([seg]).tolist()
+        assert got == unfiltered([seg]), seg
+        touched += any(i >= cache.n_laser for i in got)
+    assert 0 < touched < len(segs)
+    for k in range(0, len(segs), 4):
+        assert cache._touched_observations(segs[k:k + 4]).tolist() == unfiltered(segs[k:k + 4])
+
+
+def test_zero_likelihood_start_names_the_lowest_observation():
+    col = wall_scene()
+    p = LaserParams(w_gauss=0.9, w_uniform=0.0, w_maxrange=0.1)
+    fits = LaserObs(0.5, 1.5, 0.0, 0.0, 1.5, 8.0)       # reads the wall
+    short = LaserObs(0.5, 1.5, 0.0, 0.0, 0.79, 8.0)     # Gaussian underflows
+    sonar = SonarObs(0.3, 1.5, 0.0, 0.0, math.radians(10.0), 1.7, 3.5)
+    assert _laser_density_log(0.79, False, 1.5, 8.0, p) == -math.inf
+    with pytest.raises(ValueError, match="^observation 2 starts with zero likelihood$"):
+        ObservationCache(col, [fits, fits, short, fits, short], [sonar, sonar], p)
 
 
 def test_cache_rejects_start_inside_occupied_space():
