@@ -16,9 +16,10 @@ Three observation families condition the coloring posterior:
 Any observation model reports -inf when its sensor sits in occupied
 (black) space.  Laser beams are cast by :func:`cast_beams`, one numpy pass
 of beams x live edges in increasing edge id, wherever beams are evaluated
-(one beam or many).  A sonar cone's candidate edges are those the
-coloring's index holds near :meth:`Cone.bbox`, wherever a cone is
-evaluated.
+(one beam or many).  A single sonar cone (:func:`sonar_features`, used by
+the simulator) is swept by :func:`visibility_sweep` over the edges the
+coloring's index holds near :meth:`Cone.bbox`; the cache sweeps many cones
+at once in numpy passes (:class:`_SonarCones`) that give the same values.
 
 :class:`ObservationCache` binds a set of laser and sonar observations to a
 chain: it keeps every observation's log likelihood cached together with its
@@ -31,23 +32,35 @@ tested at once: every observation keeps a box around its extent, one numpy
 pass meets every segment's box with every observation's, and the exact
 tests run in one pass over the (segment, beam) and one over the (segment,
 cone) pairs whose boxes meet.  The touched beams are cast together in one
-:func:`cast_beams` call and their densities computed over arrays.
+:func:`cast_beams` call and their densities computed over arrays; the
+touched cones are swept together.
 
 The batched paths give the scalar functions' results bit for bit: numpy
-arithmetic runs the scalar's operations in the scalar's order, ``exp`` and
-``log`` go through :mod:`math` (numpy's SIMD versions may differ from it in
-the last bit), and a likelihood delta or a recomputed total is summed left
-to right, as a Python loop adds, not by numpy's pairwise ``sum``.
+arithmetic runs the scalar's operations in the scalar's order, ``exp``,
+``log``, ``atan2``, ``hypot`` and the other transcendental functions go
+through :mod:`math` (numpy's SIMD versions may differ from it in the last
+bit), and a likelihood delta or a total is summed left to right, as a
+Python loop adds, not by numpy's pairwise ``sum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .coloring import BLACK, Coloring, changed_points
+from .cone_sweep import (
+    ConeRows,
+    EdgePairs,
+    cone_features,
+    first_of_runs,
+    math_map,
+    pymin,
+    wedge_clip,
+)
 from .geometry import (
     ZERO_WIDTH_FACE_TOL,
     Cone,
@@ -205,6 +218,11 @@ class SonarParams:
 # scalar density helpers
 
 
+def _log_density(dens: np.ndarray) -> np.ndarray:
+    """``math.log`` of each density, -inf where it is not positive."""
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in dens.tolist()])
+
+
 def _gauss_pdf(x: float, mu: float, sigma: float) -> float:
     z = (x - mu) / sigma
     return math.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
@@ -229,6 +247,15 @@ def beam_cap(col: Coloring, origin: Point2, direction: tuple[float, float],
 _CAST_BLOCK = 1 << 13
 
 
+def _live_edges(col: Coloring):
+    """Arrays ``(eids, ax, ay, bx, by)`` of the coloring's live edges in
+    increasing id: each edge's id and the coordinates of its two ends."""
+    eids = sorted(col.edges)
+    ends = chain.from_iterable(chain.from_iterable(col.segment_of(e) for e in eids))
+    ax, ay, bx, by = np.fromiter(ends, np.float64, 4 * len(eids)).reshape(-1, 4).T.copy()
+    return np.array(eids, dtype=np.int64), ax, ay, bx, by
+
+
 def cast_beams(col: Coloring, ox, oy, dx, dy, cap) -> tuple[np.ndarray, np.ndarray]:
     """First hit ``(t, eid)`` of each beam against the coloring's live edges.
 
@@ -242,14 +269,10 @@ def cast_beams(col: Coloring, ox, oy, dx, dy, cap) -> tuple[np.ndarray, np.ndarr
     ox, oy, dx, dy, cap = (np.asarray(v, dtype=np.float64) for v in (ox, oy, dx, dy, cap))
     t_hit = cap.copy()
     eid_hit = np.full(len(cap), -1, dtype=np.int64)
-    eids = np.array(sorted(col.edges), dtype=np.int64)
+    eids, ax, ay, bx, by = _live_edges(col)
     if not len(eids):
         return t_hit, eid_hit
-    segs = [col.segment_of(e) for e in eids.tolist()]
-    ax = np.array([s.a.x for s in segs])
-    ay = np.array([s.a.y for s in segs])
-    ex = np.array([s.b.x for s in segs]) - ax
-    ey = np.array([s.b.y for s in segs]) - ay
+    ex, ey = bx - ax, by - ay
     step = max(1, _CAST_BLOCK // len(eids))
     for lo in range(0, len(cap), step):
         blk = slice(lo, lo + step)
@@ -309,11 +332,9 @@ def _laser_density_log_batch(r: np.ndarray, flagged: np.ndarray, d_star: np.ndar
     """
     sigma = np.maximum(p.sigma_frac * d_star, p.sigma_floor)
     z = (r - d_star) / sigma
-    gauss = (np.fromiter(map(math.exp, (-0.5 * z * z).tolist()), np.float64, len(z))
-             / (sigma * _SQRT_2PI))
+    gauss = math_map(math.exp, -0.5 * z * z) / (sigma * _SQRT_2PI)
     dens = p.w_gauss * gauss + p.w_uniform / max_range
-    dens = np.where(flagged, dens + p.w_maxrange, dens)
-    return np.array([math.log(v) if v > 0.0 else -math.inf for v in dens.tolist()])
+    return _log_density(np.where(flagged, dens + p.w_maxrange, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +373,17 @@ def sonar_features(o: SonarObs, col: Coloring,
     return return_probabilities(visibility_sweep(cands, cone), params)
 
 
+def _sonar_outlier(r: float, flagged: bool, max_range: float, p: SonarParams) -> float:
+    """Density of reading ``r`` when no feature produced the return."""
+    outlier = p.w_uniform / max_range
+    rate = p.outlier_rate
+    outlier += (p.w_exponential * rate * math.exp(-rate * r)
+                / -math.expm1(-rate * max_range))
+    if flagged:
+        outlier += p.w_maxrange
+    return outlier
+
+
 def _sonar_density_log(r: float, flagged: bool,
                        triples: list[tuple[VisibleFeature, float, float]],
                        max_range: float, p: SonarParams) -> float:
@@ -360,13 +392,7 @@ def _sonar_density_log(r: float, flagged: bool,
     for f, _, rf in triples:
         dens += rf * _gauss_pdf(r, f.depth, p.sigma)
         total_r += rf
-    outlier = p.w_uniform / max_range
-    rate = p.outlier_rate
-    outlier += (p.w_exponential * rate * math.exp(-rate * r)
-                / -math.expm1(-rate * max_range))
-    if flagged:
-        outlier += p.w_maxrange
-    dens += (1.0 - total_r) * outlier
+    dens += (1.0 - total_r) * _sonar_outlier(r, flagged, max_range, p)
     return math.log(dens) if dens > 0.0 else -math.inf
 
 
@@ -471,22 +497,171 @@ def _wedge_clip_distance(px, py, ulox, uloy, uhix, uhiy, seg) -> np.ndarray:
     """
     (ax, ay), (bx, by) = seg
     dx, dy = bx - ax, by - ay
-    t0 = np.zeros(len(px))
-    t1 = np.ones(len(px))
-    inside = np.ones(len(px), dtype=bool)
-    # cross(u_lo, p - apex) >= 0  and  cross(u_hi, p - apex) <= 0
-    for ux, uy, sign in ((ulox, uloy, 1.0), (uhix, uhiy, -1.0)):
-        want = sign * (ux * (ay - py) - uy * (ax - px))
-        srate = sign * (ux * dy - uy * dx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tcut = -want / srate
-        t0 = np.where(srate > 0.0, np.maximum(t0, tcut), t0)
-        t1 = np.where(srate < 0.0, np.minimum(t1, tcut), t1)
-        inside &= (srate != 0.0) | (want >= 0.0)
-    inside &= t0 <= t1
+    t0, t1, inside = wedge_clip(px, py, ulox, uloy, uhix, uhiy, ax, ay, dx, dy)
     d = point_segment_distance_batch(px, py, ax + t0 * dx, ay + t0 * dy,
                                      ax + t1 * dx, ay + t1 * dy)
     return np.where(inside, d, np.inf)
+
+
+# ---------------------------------------------------------------------------
+# batched sonar evaluation
+
+
+class _SonarCones:
+    """Sonar pings as arrays, evaluated many cones at a time.
+
+    :meth:`evaluate` gives each cone the ``(log likelihood, sensitivity
+    radius)`` of :func:`_sonar_eval`, bit for bit, without building a
+    :class:`VisibleFeature`: :func:`cone_sweep.cone_features` does the
+    sweep and the depth sort, and :func:`return_probabilities`,
+    :func:`_sonar_density_log` and :func:`_sweep_contact_radius_points` run
+    as numpy passes over the features, with the scalar code's float
+    operations in its order, ``exp`` and ``log`` from :mod:`math`, and
+    products and sums taken left to right (``multiply``/``add.accumulate``
+    along each cone's row).
+
+    A cone's features depend only on the edges that meet its sector, taken
+    in increasing id: the id order breaks ties in ``(t, id)`` and names the
+    owner of a shared corner, and any edge a sight line inside the sector
+    reaches meets the sector.  So any superset of those edges gives the same
+    features.  The batch takes the live edges whose box meets the cone's
+    sector box at full range, widened by ``_TOUCH_EPS`` so that rounding
+    never makes it smaller than the sector; the scalar path takes the
+    index's edges near :meth:`Cone.bbox`.
+    """
+
+    def __init__(self, sonars: list[SonarObs], p: SonarParams):
+        self.p = p
+        self.px = np.array([o.x for o in sonars], dtype=np.float64)
+        self.py = np.array([o.y for o in sonars], dtype=np.float64)
+        self.heading = np.array([o.heading + o.bearing for o in sonars], dtype=np.float64)
+        self.beta = np.array([o.half_angle for o in sonars], dtype=np.float64)
+        self.max_range = np.array([o.max_range for o in sonars], dtype=np.float64)
+        self.reading = np.array([o.range for o in sonars], dtype=np.float64)
+        self.hx = math_map(math.cos, self.heading)
+        self.hy = math_map(math.sin, self.heading)
+        self.ulox = math_map(math.cos, self.heading - self.beta)
+        self.uloy = math_map(math.sin, self.heading - self.beta)
+        self.uhix = math_map(math.cos, self.heading + self.beta)
+        self.uhiy = math_map(math.sin, self.heading + self.beta)
+        # how far toward -x, +x, -y and +y each wedge reaches per unit of
+        # radius: 1 where its arc crosses that axis direction, else the
+        # farther of its two edges (or 0, the apex)
+        lox, loy, hix, hiy = self.ulox, self.uloy, self.uhix, self.uhiy
+        self.reach = np.array([
+            np.where((loy >= 0.0) & (hiy <= 0.0), 1.0, np.maximum(0.0, -np.minimum(lox, hix))),
+            np.where((loy <= 0.0) & (hiy >= 0.0), 1.0, np.maximum(0.0, np.maximum(lox, hix))),
+            np.where((lox <= 0.0) & (hix >= 0.0), 1.0, np.maximum(0.0, -np.minimum(loy, hiy))),
+            np.where((lox >= 0.0) & (hix <= 0.0), 1.0, np.maximum(0.0, np.maximum(loy, hiy)))])
+        r = self.max_range
+        self.box = np.array([self.px - r * self.reach[0] - _TOUCH_EPS,
+                             self.px + r * self.reach[1] + _TOUCH_EPS,
+                             self.py - r * self.reach[2] - _TOUCH_EPS,
+                             self.py + r * self.reach[3] + _TOUCH_EPS])
+        self.outlier = np.array([_sonar_outlier(o.range, o.is_max_range, o.max_range, p)
+                                 for o in sonars], dtype=np.float64)
+        # a cone that sees nothing: _sonar_density_log of no feature
+        self.ll_bare = _log_density(0.0 + 1.0 * self.outlier)
+
+    def evaluate(self, idx: np.ndarray, col: Coloring) -> tuple[np.ndarray, np.ndarray]:
+        """``(ll, ext)`` of the cones ``idx`` against the coloring's live edges."""
+        return self.evaluate_edges(idx, *_live_edges(col))
+
+    def evaluate_edges(self, idx, eids, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
+        """``(ll, ext)`` of the cones ``idx`` against the edges ``eids``
+        (increasing) from ``(ax, ay)`` to ``(bx, by)``."""
+        idx = np.asarray(idx, dtype=np.int64)
+        ll = self.ll_bare[idx]
+        ext = self.max_range[idx]
+        if not len(idx) or not len(eids):
+            return ll, ext
+        # candidate (cone, edge) pairs, cone by cone in increasing edge id
+        exlo, exhi = np.minimum(ax, bx), np.maximum(ax, bx)
+        eylo, eyhi = np.minimum(ay, by), np.maximum(ay, by)
+        rows, cols = [], []
+        step = max(1, _CAST_BLOCK // len(eids))
+        for first in range(0, len(idx), step):
+            xlo, xhi, ylo, yhi = (v[:, None] for v in self.box[:, idx[first:first + step]])
+            r, e = np.nonzero((exlo <= xhi) & (exhi >= xlo) & (eylo <= yhi) & (eyhi >= ylo))
+            rows.append(r + first)
+            cols.append(e)
+        row, edge = np.concatenate(rows), np.concatenate(cols)
+        n = np.bincount(row, minlength=len(idx))
+        seen = np.flatnonzero(n)
+        # Cones in groups whose (cone, interval, edge) triples, at most
+        # n * (2 n + 1) for a cone with n candidates, stay near _CAST_BLOCK.
+        cost = n[seen] * (2 * n[seen] + 1)
+        group = (np.cumsum(cost) - cost) // _CAST_BLOCK
+        end = np.cumsum(n[seen])
+        starts = np.flatnonzero(first_of_runs(group))
+        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(seen)]):
+            cones = seen[lo:hi]
+            e = edge[int(end[lo] - n[cones[0]]):int(end[hi - 1])]
+            pairs = EdgePairs(np.repeat(np.arange(hi - lo), n[cones]), eids[e], ax[e], ay[e],
+                           bx[e], by[e])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ll[cones], ext[cones] = self._sweep(idx[cones], pairs)
+        return ll, ext
+
+    def _sweep(self, cid, e: EdgePairs) -> tuple[np.ndarray, np.ndarray]:
+        """``(ll, ext)`` of the cones ``cid``, whose candidate edges are
+        ``e`` (rows index ``cid``)."""
+        g = ConeRows(*(v[cid] for v in (self.px, self.py, self.heading, self.hx, self.hy,
+                                        self.beta, self.max_range, self.ulox, self.uloy,
+                                        self.uhix, self.uhiy)))
+        fc, kind, depth, proj, subt, alo, ahi, far = cone_features(g, e)
+        return (self._density_log(cid, fc, kind, depth, proj, subt),
+                _contact_radius(fc, kind, alo, ahi, far, g.beta, g.rng))
+
+    def _density_log(self, cid, fc, kind, depth, proj, subt) -> np.ndarray:
+        """:func:`return_probabilities` and :func:`_sonar_density_log` over
+        the features, sorted cone by cone in depth order."""
+        p = self.p
+        m = len(cid)
+        g = np.where(kind == 0,
+                     p.face_intercept + p.face_distance_slope * depth
+                     + p.face_projection_slope * proj + p.face_subtended_slope * subt,
+                     p.corner_intercept + p.corner_distance_slope * depth)
+        q = 1.0 / (1.0 + math_map(math.exp, -g))
+        counts = np.bincount(fc, minlength=m)
+        pos = np.arange(len(fc)) - (np.cumsum(counts) - counts)[fc] + 1
+        width = int(counts.max(initial=0)) + 1
+        # none_closer[:, k]: the chance that none of features 0..k-1 returned
+        none_closer = np.ones((m, width))
+        none_closer[fc, pos] = 1.0 - q
+        np.multiply.accumulate(none_closer, axis=1, out=none_closer)
+        r = q * none_closer[fc, pos - 1]
+        z = (self.reading[cid][fc] - depth) / p.sigma
+        gauss = math_map(math.exp, -0.5 * z * z) / (p.sigma * _SQRT_2PI)
+        dens = np.zeros((m, width))
+        total_r = np.zeros((m, width))
+        dens[fc, pos] = r * gauss
+        total_r[fc, pos] = r
+        return _log_density(np.add.accumulate(dens, axis=1)[:, -1]
+                            + (1.0 - np.add.accumulate(total_r, axis=1)[:, -1])
+                            * self.outlier[cid])
+
+
+def _contact_radius(fc, kind, alo, ahi, far, beta, rng) -> np.ndarray:
+    """:func:`_sweep_contact_radius_points` of each cone, given its features
+    sorted by cone."""
+    m = len(beta)
+    # faces in (lo, hi) order; the reach before each is the running max of
+    # -beta and the his before it
+    f = np.flatnonzero(kind == 0)
+    f = f[np.lexsort((ahi[f], alo[f], fc[f]))]
+    counts = np.bincount(fc[f], minlength=m)
+    pos = np.arange(len(f)) - (np.cumsum(counts) - counts)[fc[f]] + 1
+    reach = np.full((m, int(counts.max(initial=0)) + 1), -np.inf)
+    reach[:, 0] = -beta
+    reach[fc[f], pos] = ahi[f]
+    np.maximum.accumulate(reach, axis=1, out=reach)
+    tol = ZERO_WIDTH_FACE_TOL
+    gap = reach[:, -1] < beta - tol
+    gap[fc[f][alo[f] > reach[fc[f], pos - 1] + tol]] = True
+    farthest = np.zeros(m)
+    np.maximum.at(farthest, fc, far)
+    return np.where(gap, rng, pymin(farthest + _TOUCH_EPS, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +685,21 @@ class ObservationCache:
     in another (:func:`_wedge_clip_distance`).  The touched beams are cast
     in one :func:`cast_beams` call against caps (window exit or max range)
     computed once at construction, and their densities are computed over
-    arrays (:func:`_laser_density_log_batch`); a re-evaluated cone gathers its
-    candidate edges from the coloring's index by :meth:`Cone.bbox`, as
-    :func:`sonar_features` does.  The staging holds arrays of observation
+    arrays (:func:`_laser_density_log_batch`).  The re-evaluated cones are
+    swept together (:class:`_SonarCones`): their candidate edges are the live
+    edges whose box meets a cone's full-range sector box, found in one box
+    test, and the sweep, the return probabilities and the density run as
+    numpy passes over all of them.  The staging holds arrays of observation
     indices, log likelihoods and extents.
 
     Every cached value equals the scalar functions' bit for bit
-    (``laser_log_likelihood``, ``sonar_log_likelihood``), and a delta or a
-    :meth:`recompute_total` is summed left to right in increasing
-    observation index.
+    (``laser_log_likelihood``, ``sonar_log_likelihood``): the batched passes
+    run the scalar code's float operations in its order, keep Python's
+    ``max``/``min`` picks, take ``cos``, ``sin``, ``atan2``, ``hypot``,
+    ``asin``, ``exp``, ``expm1`` and ``log`` from :mod:`math`, and take ties
+    and shared corners by edge id as the scalar code does.  The cached total,
+    a delta and a :meth:`recompute_total` are all summed left to right in
+    increasing observation index.
 
     The construction-time coloring must give every sensor a free (white)
     position.  A state with a black sensor has likelihood zero and is never
@@ -557,27 +738,17 @@ class ObservationCache:
             self.dirx[i], self.diry[i] = direction
             self.cap[i] = beam_cap(col, Point2(o.x, o.y), direction, o.max_range)
 
-        # sonar geometry: wedge vectors and truncated radii
+        # sonar geometry: wedge vectors, sector reach and truncated radii
+        self.cones = _SonarCones(sonars, self.sp)
         self.ulox = np.zeros(n)
         self.uloy = np.zeros(n)
         self.uhix = np.zeros(n)
         self.uhiy = np.zeros(n)
+        c = slice(self.n_laser, None)
+        self.ulox[c], self.uloy[c] = self.cones.ulox, self.cones.uloy
+        self.uhix[c], self.uhiy[c] = self.cones.uhix, self.cones.uhiy
+        self.reach = self.cones.reach
         self.trunc_radius = np.zeros(n)
-        for j, o in enumerate(sonars):
-            i = self.n_laser + j
-            c = sonar_cone(o)
-            self.ulox[i], self.uloy[i] = unit_vector(c.heading - c.half_angle)
-            self.uhix[i], self.uhiy[i] = unit_vector(c.heading + c.half_angle)
-        # how far toward -x, +x, -y and +y each wedge reaches per unit of
-        # radius: 1 where its arc crosses that axis direction, else the
-        # farther of its two edges (or 0, the apex)
-        lox, loy, hix, hiy = (v[self.n_laser:] for v in (self.ulox, self.uloy,
-                                                          self.uhix, self.uhiy))
-        self.reach = np.array([
-            np.where((loy >= 0.0) & (hiy <= 0.0), 1.0, np.maximum(0.0, -np.minimum(lox, hix))),
-            np.where((loy <= 0.0) & (hiy >= 0.0), 1.0, np.maximum(0.0, np.maximum(lox, hix))),
-            np.where((lox <= 0.0) & (hix >= 0.0), 1.0, np.maximum(0.0, -np.minimum(loy, hiy))),
-            np.where((lox >= 0.0) & (hix <= 0.0), 1.0, np.maximum(0.0, np.maximum(loy, hiy)))])
 
         if bool(col.colors_at(self.sx, self.sy).any()):
             raise ValueError("every sensor position must start in free space")
@@ -587,7 +758,7 @@ class ObservationCache:
         if len(zero):
             raise ValueError(f"observation {zero[0]} starts with zero likelihood")
         self._store(every, ll, ext)
-        self._total = float(self.ll.sum())
+        self._total = _running_sum(self.ll)
         self._staged: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._staged_delta = 0.0
 
@@ -657,7 +828,8 @@ class ObservationCache:
         """Log likelihood and extent of each observation in the increasing
         indices ``idx``, whose sensors are all free.
 
-        The beams among them are cast in one :func:`cast_beams` call.
+        The beams among them are cast in one :func:`cast_beams` call and the
+        cones swept together by :meth:`_SonarCones.evaluate`.
         """
         k = int(np.searchsorted(idx, self.n_laser))
         ll = np.empty(len(idx))
@@ -668,8 +840,8 @@ class ObservationCache:
                                     self.diry[b], self.cap[b])
             ll[:k] = _laser_density_log_batch(self.reading[b], self.flagged[b], ext[:k],
                                               self.max_range[b], self.lp)
-        for j, i in enumerate(idx[k:].tolist(), k):
-            ll[j], ext[j] = _sonar_eval(self.obs[i], col, self.sp)
+        if k < len(idx):
+            ll[k:], ext[k:] = self.cones.evaluate(idx[k:] - self.n_laser, col)
         return ll, ext
 
     def _store(self, idx: np.ndarray, ll: np.ndarray, ext: np.ndarray) -> None:

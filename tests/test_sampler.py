@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from prfmap.cli import cmd_simulate, main, run_posterior_chain
+from prfmap.cli import cmd_simulate, likelihood_for_log, main, run_posterior_chain
 from prfmap.coloring import Coloring
 from prfmap.config import RunConfig
 from prfmap.geometry import GridSpec, Rect
@@ -18,6 +18,7 @@ from prfmap.sampler import (OccupancyAccumulator, PointColorTracker,
                             RasterTracker, Sampler, all_white_cells, anneal,
                             run_chain)
 from prfmap.scanlog import read_scanlog
+from prfmap.sim import WorldSpec, make_world
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -74,6 +75,40 @@ def test_corridor_laser_chain_is_pinned(tmp_path):
     assert (st.proposals, st.applied, st.accepted) == (2_000, 774, 102)
     sig = hashlib.sha256(repr(samp.col.geometry_signature()).encode()).hexdigest()[:16]
     assert sig == "1e803587bbd22583"
+
+
+def _signature(samp) -> str:
+    return hashlib.sha256(repr(samp.col.geometry_signature()).encode()).hexdigest()[:16]
+
+
+def test_rooms_sonar_chain_is_pinned(rooms_log, delta_stream):
+    # The rooms_sonar benchmark chain (sim seed 0, chain seed 0) from the
+    # empty map: any change to a cone's features, its extent, the touched
+    # set or a delta's last bit moves the delta stream.
+    cfg = dataclasses.replace(RunConfig(), world="rooms", seed=0, sim_seed=0,
+                              proposals=300, burn_in=30, sample_every=3, chains=1)
+    _, samp, _ = run_posterior_chain(rooms_log, cfg, 0)
+    st = samp.stats
+    assert (st.proposals, st.applied, st.accepted) == (300, 59, 0)
+    assert _signature(samp) == "b6c375326c7532c1"
+    assert len(delta_stream.deltas) == 59
+    assert delta_stream.digest() == "626c6938a500f9dc"
+
+
+def test_rooms_sonar_chain_from_the_true_walls_is_pinned(rooms_log, delta_stream):
+    # The same chain started from the true rooms walls, where every touched
+    # cone sees faces and corners: the populated-map sonar path.
+    cfg = dataclasses.replace(RunConfig(), world="rooms", seed=0, sim_seed=0)
+    col = make_world(WorldSpec("rooms"), cell_size=cfg.index_cell_size)
+    lik = likelihood_for_log(col, rooms_log, cfg)
+    samp = Sampler(col, cfg.prior_params(), cfg.move_params(),
+                   np.random.default_rng([0, 0]), lik, temperature=cfg.temperature)
+    run_chain(samp, 300)
+    st = samp.stats
+    assert (st.proposals, st.applied, st.accepted) == (300, 76, 4)
+    assert _signature(samp) == "093be356d7239474"
+    assert len(delta_stream.deltas) == 76
+    assert delta_stream.digest() == "993fe853b892e0bb"
 
 
 def test_tally_accounting():

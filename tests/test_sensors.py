@@ -7,9 +7,12 @@ Oracles used here, written independently of the implementation:
 - a fixed-probability stub for the exclusive-return recursion, with
   hand-computed values;
 - from-scratch recomputation of cached likelihood totals after a chain
-  of accepted edits.
+  of accepted edits;
+- the scalar sweep (``visibility_sweep``, ``_sonar_eval``) for the batched
+  cone evaluation, value for value by ``float.hex``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 import prfmap.sensors
 from prfmap.cli import main
 from prfmap.coloring import BLACK, INTERIOR, Coloring, Edit
+from prfmap.config import RunConfig
 from prfmap.geometry import (Point2, Rect, Segment, VisibleFeature,
                              _clip_to_wedge, _point_at,
                              point_segment_distance, ray_rect_exit,
@@ -32,13 +36,15 @@ from prfmap.sampler import Sampler, run_chain
 from prfmap.sensors import (_TOUCH_EPS, CompositeLikelihood, LaserObs,
                             LaserParams, _laser_density_log,
                             _laser_density_log_batch,
-                            _seg_batch_min_dist, _wedge_clip_distance,
+                            _seg_batch_min_dist, _sonar_density_log, _sonar_eval,
+                            _SonarCones, _sweep_contact_radius_points,
+                            _wedge_clip_distance,
                             ObservationCache, beam_cap, cast_beams,
                             PointColorLikelihood, PointColorObs, SonarObs,
                             SonarParams, beam_direction, laser_log_likelihood,
                             laser_true_distance, return_probabilities,
                             sonar_cone, sonar_features, sonar_log_likelihood)
-from prfmap.sim import SonarRingSpec
+from prfmap.sim import SonarRingSpec, WorldSpec, make_world
 
 WINDOW = Rect(0.0, 0.0, 4.0, 3.0)
 
@@ -887,29 +893,186 @@ def test_composite_sums_parts():
 # sonar candidate edges: the bounding-box rule loses nothing
 
 
+def _random_cones(w: Rect, rng, n: int) -> list[SonarObs]:
+    """Cones of every half-angle in the window, some with their apex near its
+    edge, some with the arc across an axis direction, most leaving it."""
+    cones = []
+    for k in range(n):
+        if k % 3 == 0:    # apex within 0.05 of the window edge
+            x = rng.choice([rng.uniform(w.xmin, w.xmin + 0.05),
+                            rng.uniform(w.xmax - 0.05, w.xmax)])
+            y = rng.uniform(w.ymin, w.ymax)
+        else:
+            x, y = rng.uniform(w.xmin, w.xmax), rng.uniform(w.ymin, w.ymax)
+        half = rng.uniform(0.05, 1.5)
+        if k % 2:         # the arc straddles an axis direction
+            heading = rng.integers(4) * math.pi / 2 + rng.uniform(-half, half)
+        else:
+            heading = rng.uniform(-math.pi, math.pi)
+        # up to 6 m: most cones leave the 4 x 3 window
+        max_range = rng.uniform(0.3, 6.0)
+        cones.append(SonarObs(x, y, heading, 0.0, half, max_range, max_range, True))
+    return cones
+
+
 def test_sonar_features_match_a_sweep_over_every_live_edge():
     rng = np.random.default_rng(21)
     p = SonarParams()
     checked = 0
     for col in _prior_chain_colorings(4):
         every_edge = [(eid, col.segment_of(eid)) for eid in sorted(col.edges)]
-        for k in range(60):
-            w = col.window
-            if k % 3 == 0:    # apex within 0.05 of the window edge
-                x = rng.choice([rng.uniform(w.xmin, w.xmin + 0.05),
-                                rng.uniform(w.xmax - 0.05, w.xmax)])
-                y = rng.uniform(w.ymin, w.ymax)
-            else:
-                x, y = rng.uniform(w.xmin, w.xmax), rng.uniform(w.ymin, w.ymax)
-            half = rng.uniform(0.05, 1.5)
-            if k % 2:         # the arc straddles an axis direction
-                heading = rng.integers(4) * math.pi / 2 + rng.uniform(-half, half)
-            else:
-                heading = rng.uniform(-math.pi, math.pi)
-            # up to 6 m: most cones leave the 4 x 3 window
-            max_range = rng.uniform(0.3, 6.0)
-            o = SonarObs(x, y, heading, 0.0, half, max_range, max_range, True)
+        for o in _random_cones(col.window, rng, 60):
             want = return_probabilities(visibility_sweep(every_edge, sonar_cone(o)), p)
             assert sonar_features(o, col, p) == want
             checked += bool(want)
     assert checked > 100, "most cones must see something"
+
+
+# ---------------------------------------------------------------------------
+# batched cone evaluation vs the scalar sweep, bit for bit
+
+
+def _hex_pairs(ll, ext) -> list[tuple[str, str]]:
+    return [(float(a).hex(), float(b).hex()) for a, b in zip(ll, ext)]
+
+
+def _batch_eval(sonars, edges, p):
+    """The batched ``(ll, ext)`` of each cone against ``(id, Segment)`` edges."""
+    edges = sorted(edges)
+    eids = np.array([e for e, _ in edges], dtype=np.int64)
+    ax, ay, bx, by = np.array([s for _, s in edges], dtype=np.float64).reshape(-1, 4).T
+    return _SonarCones(sonars, p).evaluate_edges(np.arange(len(sonars)), eids,
+                                                 ax, ay, bx, by)
+
+
+def _sweep_eval(o, edges, p):
+    """The scalar ``(ll, ext)`` of one cone: :func:`visibility_sweep` over
+    every edge, then the scalar density and contact radius."""
+    triples = return_probabilities(visibility_sweep(sorted(edges), sonar_cone(o)), p)
+    return (_sonar_density_log(o.range, o.is_max_range, triples, o.max_range, p),
+            _sweep_contact_radius_points(triples, o))
+
+
+def test_batched_cones_match_the_sweep_on_the_rooms_walls(rooms_log):
+    cfg = RunConfig()
+    col = make_world(WorldSpec("rooms"), cell_size=cfg.index_cell_size)
+    sp = cfg.sonar_params()
+    cache = ObservationCache(col, [], rooms_log.sonars, sonar_params=sp)
+    want = [_sonar_eval(o, col, sp) for o in rooms_log.sonars]
+    assert _hex_pairs(cache.ll, cache.trunc_radius) == _hex_pairs(*zip(*want))
+    # most cones see a wall, and many see it whole across their arc
+    assert sum(e < o.max_range for (_, e), o in zip(want, rooms_log.sonars)) > 1_000
+
+
+def test_batched_cones_match_the_sweep_on_random_cones(monkeypatch):
+    rng = np.random.default_rng(21)
+    p = SonarParams()
+    for col in _prior_chain_colorings(4):
+        cones = _random_cones(col.window, rng, 60)
+        # the same cones turned along the axes, where a last-bit change of
+        # an atan2 is not absorbed by adding the heading
+        cones += [dataclasses.replace(o, heading=(0.0, math.pi / 2, math.pi)[k % 3])
+                  for k, o in enumerate(cones)]
+        want = [_sonar_eval(o, col, p) for o in cones]
+        got = _SonarCones(cones, p).evaluate(np.arange(len(cones)), col)
+        assert _hex_pairs(*got) == _hex_pairs(*zip(*want))
+        # a subset in any order of increasing indices gives the same values
+        some = np.flatnonzero(rng.random(len(cones)) < 0.3)
+        sub = _SonarCones(cones, p).evaluate(some, col)
+        assert _hex_pairs(*sub) == [_hex_pairs(*got)[i] for i in some]
+        # and so do many small blocks of cones
+        with monkeypatch.context() as m:
+            m.setattr(prfmap.sensors, "_CAST_BLOCK", 48)
+            small = _SonarCones(cones, p).evaluate(np.arange(len(cones)), col)
+        assert _hex_pairs(*small) == _hex_pairs(*got)
+
+
+def _degenerate_scenes():
+    """(name, cones, edges) scenes on the sweep's tie and boundary rules."""
+    P, S = Point2, Segment
+    up = math.pi / 2
+    h = math.radians(20.0)
+    scenes = []
+    # a straight wall split at shared vertices, one vertex dead ahead
+    wall = [(3, S(P(1.0, 2.0), P(2.0, 2.0))), (1, S(P(2.0, 2.0), P(3.0, 2.0))),
+            (8, S(P(3.0, 2.0), P(3.5, 2.0)))]
+    scenes.append(("collinear edges sharing endpoints",
+                   [SonarObs(2.0, 0.5, up, 0.0, h, 1.5, 3.5),
+                    SonarObs(2.5, 0.5, up, 0.3, h, 1.6, 3.5),
+                    SonarObs(3.0, 1.0, up, 0.0, 0.5, 1.0, 3.5)], wall))
+    # two equal-length collinear edges overlapping on x in [2, 2.5]: a ray
+    # there meets both at the same t, and the smaller id wins
+    scenes.append(("overlapping collinear edges",
+                   [SonarObs(2.1, 0.5, up, 0.0, 0.6, 1.5, 3.5),
+                    SonarObs(2.4, 1.0, up, 0.0, 1.2, 1.0, 3.5, True)],
+                   [(7, S(P(1.0, 2.0), P(2.5, 2.0))), (5, S(P(2.0, 2.0), P(3.5, 2.0)))]))
+    # edges along the wedge's boundary rays
+    apex, head = P(0.5, 0.7), 0.4
+    lo, hi = unit_vector(head - h), unit_vector(head + h)
+    scenes.append(("edges on the wedge boundary rays",
+                   [SonarObs(apex.x, apex.y, head, 0.0, h, 1.2, 3.5)],
+                   [(2, S(P(apex.x + 0.5 * lo[0], apex.y + 0.5 * lo[1]),
+                          P(apex.x + 2.0 * lo[0], apex.y + 2.0 * lo[1]))),
+                    (4, S(P(apex.x + 1.0 * hi[0], apex.y + 1.0 * hi[1]),
+                          P(apex.x + 3.0 * hi[0], apex.y + 3.0 * hi[1]))),
+                    (6, S(P(apex.x + 2.0 * lo[0], apex.y + 2.0 * lo[1]),
+                          P(apex.x + 3.0 * hi[0], apex.y + 3.0 * hi[1])))]))
+    # a corner exactly at max range on the axis: 0.9 - 0.2 == 0.7 rounds to
+    # the range, while 0.2 + 0.7 rounds below 0.9, so the sector's box must
+    # be widened to hold the corner
+    scenes.append(("corner at exactly max range",
+                   [SonarObs(0.2, 0.5, 0.0, 0.0, h, 0.69, 0.7)],
+                   [(0, S(P(0.9, 0.5), P(1.2, 0.8)))]))
+    # an occluder whose end (1, 0.25) lies on the sight line to a far vertex
+    # (2, 0.5), and one ending on the wedge's upper ray
+    scenes.append(("occluder ending on an event angle",
+                   [SonarObs(0.0, 0.0, 0.0, 0.0, 0.4, 1.9, 3.5),
+                    SonarObs(0.0, 0.0, 0.2, 0.0, 0.2, 1.0, 3.5)],
+                   [(0, S(P(1.0, -0.1), P(1.0, 0.25))), (1, S(P(2.0, -0.9), P(2.0, 0.5))),
+                    (2, S(P(2.0, 0.5), P(2.5, 1.2))),
+                    (3, S(P(0.8, 0.3), P(0.8 * math.cos(0.4), 0.8 * math.sin(0.4))))]))
+    # a cone whose only candidate is in its box but outside its wedge, and
+    # one with no candidate
+    scenes.append(("candidate outside the wedge, no candidate",
+                   [SonarObs(0.0, 0.0, 0.0, 0.0, h, 2.0, 3.5),
+                    SonarObs(5.0, 5.0, 0.0, 0.0, h, 3.5, 3.5, True)],
+                   [(0, S(P(0.3, 0.9 * 3.5 * math.sin(h)), P(0.4, 1.15)))]))
+    # a saw-tooth wall: one cone sees dozens of faces and corners
+    ys = np.linspace(-0.9, 0.9, 19)
+    teeth = [(k, S(P(2.0 + 0.1 * (k % 2), ys[k]), P(2.1 - 0.1 * (k % 2), ys[k + 1])))
+             for k in range(18)]
+    scenes.append(("many features", [SonarObs(0.0, 0.0, 0.0, 0.0, 0.5, 2.02, 3.5)],
+                   teeth))
+    return scenes
+
+
+@pytest.mark.parametrize("name, cones, edges", _degenerate_scenes(),
+                         ids=[s[0] for s in _degenerate_scenes()])
+def test_batched_cones_match_the_sweep_on_degenerate_scenes(name, cones, edges):
+    p = SonarParams()
+    want = [_sweep_eval(o, edges, p) for o in cones]
+    assert _hex_pairs(*_batch_eval(cones, edges, p)) == _hex_pairs(*zip(*want))
+    # the scenes are not vacuous
+    feats = [visibility_sweep(sorted(edges), sonar_cone(o)) for o in cones]
+    if name == "overlapping collinear edges":
+        assert {f.source_id for f in feats[0] if f.kind == "face"} == {5, 7}
+    elif name == "corner at exactly max range":
+        assert [(f.kind, f.depth) for f in feats[0]][-1] == ("corner", 0.7)
+    elif name == "candidate outside the wedge, no candidate":
+        assert feats == [[], []]
+    elif name == "many features":
+        assert len(feats[0]) > 30
+    else:
+        assert all(feats)
+
+
+def test_fresh_cache_total_equals_recomputation(rooms_log):
+    cfg = RunConfig()
+    rooms = make_world(WorldSpec("rooms"), cell_size=cfg.index_cell_size)
+    col = wall_scene()
+    lasers, sonars, _ = _random_observations(col, np.random.default_rng(23),
+                                             n_laser=300, n_sonar=100, n_point=0)
+    for c, beams, cones in ((col, lasers, []), (rooms, [], rooms_log.sonars),
+                            (col, lasers, sonars)):
+        cache = ObservationCache(c, beams, cones)
+        assert cache.log_likelihood() == cache.recompute_total(c)
