@@ -18,22 +18,17 @@ Any observation model reports -inf when its sensor sits in occupied
 of beams x live edges in increasing edge id, wherever beams are evaluated
 (one beam or many).  A single sonar cone (:func:`sonar_features`, used by
 the simulator) is swept by :func:`visibility_sweep` over the edges the
-coloring's index holds near :meth:`Cone.bbox`; the cache sweeps many cones
-at once in numpy passes (:class:`_SonarCones`) that give the same values.
+coloring's index holds near :meth:`Cone.bbox`.
 
-:class:`ObservationCache` binds a set of laser and sonar observations to a
-chain: it keeps every observation's log likelihood cached together with its
-current *sensitivity extent* (beam up to the impact point; cone up to the
-farthest contact), and on each proposed edit recomputes only the
-observations whose extent the edit touches.  An edit that changes the color
-of any sensor position has likelihood zero and returns -inf before anything
-is evaluated.  The cache keeps no cell index.  All changed segments are
-tested at once: every observation keeps a box around its extent, one numpy
-pass meets every segment's box with every observation's, and the exact
-tests run in one pass over the (segment, beam) and one over the (segment,
-cone) pairs whose boxes meet.  The touched beams are cast together in one
-:func:`cast_beams` call and their densities computed over arrays; the
-touched cones are swept together.
+:class:`ObservationCache` binds a log's laser and sonar observations to a
+chain through one array-backed part per family (:class:`_LaserBeams`,
+:class:`_SonarCones`).  A part caches each observation's log likelihood and
+*sensitivity extent* (beam up to the impact point; cone up to the farthest
+contact) with a box around it.  On a proposed edit it meets all changed
+segments' boxes with its boxes in one numpy pass, runs its exact touch test
+on the pairs that meet, and re-evaluates the touched observations together.
+An edit that changes the color of any sensor position has likelihood zero
+and returns -inf before anything is evaluated.  No cell index is kept.
 
 The batched paths give the scalar functions' results bit for bit: numpy
 arithmetic runs the scalar's operations in the scalar's order, ``exp``,
@@ -503,8 +498,82 @@ def _wedge_clip_distance(px, py, ulox, uloy, uhix, uhiy, seg) -> np.ndarray:
     return np.where(inside, d, np.inf)
 
 
+def _boxes_meet(box, ax, ay, bx, by):
+    """``(segment, observation)`` index pairs whose boxes meet, segment by
+    segment: segment k runs from (ax[k], ay[k]) to (bx[k], by[k]) and its box
+    is widened by ``_TOUCH_EPS``; observation j's box is ``box[:, j]``, as
+    ``(xlo, xhi, ylo, yhi)``."""
+    xlo, xhi, ylo, yhi = box
+    return np.nonzero((xlo <= (np.maximum(ax, bx) + _TOUCH_EPS)[:, None])
+                      & (xhi >= (np.minimum(ax, bx) - _TOUCH_EPS)[:, None])
+                      & (ylo <= (np.maximum(ay, by) + _TOUCH_EPS)[:, None])
+                      & (yhi >= (np.minimum(ay, by) - _TOUCH_EPS)[:, None]))
+
+
 # ---------------------------------------------------------------------------
-# batched sonar evaluation
+# the observation families as arrays
+
+
+class _LaserBeams:
+    """Laser beams as arrays, evaluated and touch-tested many at a time.
+
+    :meth:`evaluate` gives each beam the log likelihood of
+    :func:`laser_log_likelihood` bit for bit and its extent, the impact
+    distance: one :func:`cast_beams` call against caps (window exit or max
+    range) computed once, then :func:`_laser_density_log_batch`.
+
+    :meth:`touched` runs the exact test (:func:`_segments_touch`) on the
+    pairs whose boxes meet.  A beam's touch box is its ``[sensor, impact]``
+    box widened by ``_TOUCH_EPS``: a beam within ``_TOUCH_EPS`` of a segment
+    has that box within ``_TOUCH_EPS`` of the segment's box, so with the
+    segment's own widening the boxes of every touched pair meet, with room
+    to spare for rounding.
+    """
+
+    def __init__(self, lasers: list[LaserObs], col: Coloring, p: LaserParams):
+        self.p = p
+        n = len(lasers)
+        self.sx = np.array([o.x for o in lasers], dtype=np.float64)
+        self.sy = np.array([o.y for o in lasers], dtype=np.float64)
+        self.reading = np.array([o.range for o in lasers], dtype=np.float64)
+        self.flagged = np.array([o.is_max_range for o in lasers], dtype=bool)
+        self.max_range = np.array([o.max_range for o in lasers], dtype=np.float64)
+        self.dirx, self.diry, self.cap = np.zeros(n), np.zeros(n), np.zeros(n)
+        for i, o in enumerate(lasers):
+            direction = beam_direction(o.heading, o.bearing)
+            self.dirx[i], self.diry[i] = direction
+            self.cap[i] = beam_cap(col, Point2(o.x, o.y), direction, o.max_range)
+        self.ll = np.zeros(n)
+        self.impact_x, self.impact_y = np.zeros(n), np.zeros(n)
+        self.touch_box = np.zeros((4, n))
+
+    def touched(self, ax, ay, bx, by) -> np.ndarray:
+        """Increasing indices of the beams within ``_TOUCH_EPS`` of any
+        segment from (ax[k], ay[k]) to (bx[k], by[k])."""
+        seg, beam = _boxes_meet(self.touch_box, ax, ay, bx, by)
+        touch = _segments_touch(self.sx[beam], self.sy[beam], self.impact_x[beam],
+                                self.impact_y[beam], ax[seg], ay[seg], bx[seg], by[seg])
+        hit = np.zeros(len(self.ll), dtype=bool)
+        hit[beam[touch]] = True
+        return np.flatnonzero(hit)
+
+    def evaluate(self, idx: np.ndarray, col: Coloring) -> tuple[np.ndarray, np.ndarray]:
+        """``(ll, ext)`` of the beams ``idx`` against the coloring's live edges."""
+        ext, _ = cast_beams(col, self.sx[idx], self.sy[idx], self.dirx[idx],
+                            self.diry[idx], self.cap[idx])
+        return _laser_density_log_batch(self.reading[idx], self.flagged[idx], ext,
+                                        self.max_range[idx], self.p), ext
+
+    def store(self, idx: np.ndarray, ll: np.ndarray, ext: np.ndarray) -> None:
+        """Cache the beams' log likelihoods, impact points and touch boxes."""
+        self.ll[idx] = ll
+        sx, sy = self.sx[idx], self.sy[idx]
+        ix = self.impact_x[idx] = sx + ext * self.dirx[idx]
+        iy = self.impact_y[idx] = sy + ext * self.diry[idx]
+        self.touch_box[:, idx] = (np.minimum(sx, ix) - _TOUCH_EPS,
+                                  np.maximum(sx, ix) + _TOUCH_EPS,
+                                  np.minimum(sy, iy) - _TOUCH_EPS,
+                                  np.maximum(sy, iy) + _TOUCH_EPS)
 
 
 class _SonarCones:
@@ -525,15 +594,21 @@ class _SonarCones:
     owner of a shared corner, and any edge a sight line inside the sector
     reaches meets the sector.  So any superset of those edges gives the same
     features.  The batch takes the live edges whose box meets the cone's
-    sector box at full range, widened by ``_TOUCH_EPS`` so that rounding
-    never makes it smaller than the sector; the scalar path takes the
-    index's edges near :meth:`Cone.bbox`.
+    sector box at full range (``box``), widened by ``_TOUCH_EPS`` so that
+    rounding never makes it smaller than the sector; the scalar path takes
+    the index's edges near :meth:`Cone.bbox`.
+
+    :meth:`touched` runs the wedge clip (:func:`_wedge_clip_distance`) on
+    the pairs whose boxes meet.  A touching segment has a point in the wedge
+    within the truncated radius (``trunc_radius``) plus ``_TOUCH_EPS`` of the
+    apex, so a cone's touch box bounds its sector of that radius (as
+    :meth:`Cone.bbox` bounds a sector), and every touched pair's boxes meet.
     """
 
     def __init__(self, sonars: list[SonarObs], p: SonarParams):
         self.p = p
-        self.px = np.array([o.x for o in sonars], dtype=np.float64)
-        self.py = np.array([o.y for o in sonars], dtype=np.float64)
+        self.sx = np.array([o.x for o in sonars], dtype=np.float64)
+        self.sy = np.array([o.y for o in sonars], dtype=np.float64)
         self.heading = np.array([o.heading + o.bearing for o in sonars], dtype=np.float64)
         self.beta = np.array([o.half_angle for o in sonars], dtype=np.float64)
         self.max_range = np.array([o.max_range for o in sonars], dtype=np.float64)
@@ -554,14 +629,38 @@ class _SonarCones:
             np.where((lox <= 0.0) & (hix >= 0.0), 1.0, np.maximum(0.0, -np.minimum(loy, hiy))),
             np.where((lox >= 0.0) & (hix <= 0.0), 1.0, np.maximum(0.0, np.maximum(loy, hiy)))])
         r = self.max_range
-        self.box = np.array([self.px - r * self.reach[0] - _TOUCH_EPS,
-                             self.px + r * self.reach[1] + _TOUCH_EPS,
-                             self.py - r * self.reach[2] - _TOUCH_EPS,
-                             self.py + r * self.reach[3] + _TOUCH_EPS])
+        self.box = np.array([self.sx - r * self.reach[0] - _TOUCH_EPS,
+                             self.sx + r * self.reach[1] + _TOUCH_EPS,
+                             self.sy - r * self.reach[2] - _TOUCH_EPS,
+                             self.sy + r * self.reach[3] + _TOUCH_EPS])
         self.outlier = np.array([_sonar_outlier(o.range, o.is_max_range, o.max_range, p)
                                  for o in sonars], dtype=np.float64)
         # a cone that sees nothing: _sonar_density_log of no feature
         self.ll_bare = _log_density(0.0 + 1.0 * self.outlier)
+        self.ll = np.zeros(len(sonars))
+        self.trunc_radius = np.zeros(len(sonars))
+        self.touch_box = np.zeros((4, len(sonars)))
+
+    def touched(self, ax, ay, bx, by) -> np.ndarray:
+        """Increasing indices of the cones any segment from (ax[k], ay[k]) to
+        (bx[k], by[k]) touches."""
+        seg, cone = _boxes_meet(self.touch_box, ax, ay, bx, by)
+        d = _wedge_clip_distance(self.sx[cone], self.sy[cone], self.ulox[cone],
+                                 self.uloy[cone], self.uhix[cone], self.uhiy[cone],
+                                 ((ax[seg], ay[seg]), (bx[seg], by[seg])))
+        hit = np.zeros(len(self.ll), dtype=bool)
+        hit[cone[d <= self.trunc_radius[cone] + _TOUCH_EPS]] = True
+        return np.flatnonzero(hit)
+
+    def store(self, idx: np.ndarray, ll: np.ndarray, ext: np.ndarray) -> None:
+        """Cache the cones' log likelihoods, truncated radii and touch boxes."""
+        self.ll[idx] = ll
+        self.trunc_radius[idx] = ext
+        r = ext + _TOUCH_EPS
+        self.touch_box[:, idx] = (self.sx[idx] - r * self.reach[0, idx],
+                                  self.sx[idx] + r * self.reach[1, idx],
+                                  self.sy[idx] - r * self.reach[2, idx],
+                                  self.sy[idx] + r * self.reach[3, idx])
 
     def evaluate(self, idx: np.ndarray, col: Coloring) -> tuple[np.ndarray, np.ndarray]:
         """``(ll, ext)`` of the cones ``idx`` against the coloring's live edges."""
@@ -606,7 +705,7 @@ class _SonarCones:
     def _sweep(self, cid, e: EdgePairs) -> tuple[np.ndarray, np.ndarray]:
         """``(ll, ext)`` of the cones ``cid``, whose candidate edges are
         ``e`` (rows index ``cid``)."""
-        g = ConeRows(*(v[cid] for v in (self.px, self.py, self.heading, self.hx, self.hy,
+        g = ConeRows(*(v[cid] for v in (self.sx, self.sy, self.heading, self.hx, self.hy,
                                         self.beta, self.max_range, self.ulox, self.uloy,
                                         self.uhix, self.uhiy)))
         fc, kind, depth, proj, subt, alo, ahi, far = cone_features(g, e)
@@ -671,35 +770,19 @@ def _contact_radius(fc, kind, alo, ahi, far, beta, rng) -> np.ndarray:
 class ObservationCache:
     """Caches per-observation log likelihoods and sensitivity extents.
 
-    Implements the chain's Likelihood protocol: ``delta_for_edit`` stages
-    recomputes for the observations an applied edit could affect — beams
-    whose ``[sensor, impact]`` segment lies within ``_TOUCH_EPS`` of a
-    changed segment, and cones whose wedge holds a piece of a changed
-    segment within ``_TOUCH_EPS`` of the truncated radius — and
-    ``commit``/``rollback`` finalize or discard the staging.  No cell index
-    is kept.  Observations are first filtered by box, all segments at once:
-    an observation's box, kept and renewed with its extent (see
-    :meth:`_store`), must meet the segment's box widened by ``_TOUCH_EPS``.
-    The (segment, beam) pairs that pass get the exact distance test in one
-    pass (:func:`_segments_touch`), the (segment, cone) pairs the wedge clip
-    in another (:func:`_wedge_clip_distance`).  The touched beams are cast
-    in one :func:`cast_beams` call against caps (window exit or max range)
-    computed once at construction, and their densities are computed over
-    arrays (:func:`_laser_density_log_batch`).  The re-evaluated cones are
-    swept together (:class:`_SonarCones`): their candidate edges are the live
-    edges whose box meets a cone's full-range sector box, found in one box
-    test, and the sweep, the return probabilities and the density run as
-    numpy passes over all of them.  The staging holds arrays of observation
-    indices, log likelihoods and extents.
+    Implements the chain's Likelihood protocol over one part per
+    observation family the log has (``parts``: :class:`_LaserBeams`, then
+    :class:`_SonarCones`).  Each part keeps its observations' log
+    likelihoods, extents and touch boxes, and has the same operations:
+    ``touched`` (a box pass, then the exact test on the pairs whose boxes
+    meet), ``evaluate`` and ``store``.  ``delta_for_edit`` evaluates each
+    part's touched observations and stages them; ``commit`` stores the
+    staging and ``rollback`` drops it.
 
     Every cached value equals the scalar functions' bit for bit
-    (``laser_log_likelihood``, ``sonar_log_likelihood``): the batched passes
-    run the scalar code's float operations in its order, keep Python's
-    ``max``/``min`` picks, take ``cos``, ``sin``, ``atan2``, ``hypot``,
-    ``asin``, ``exp``, ``expm1`` and ``log`` from :mod:`math`, and take ties
-    and shared corners by edge id as the scalar code does.  The cached total,
-    a delta and a :meth:`recompute_total` are all summed left to right in
-    increasing observation index.
+    (``laser_log_likelihood``, ``sonar_log_likelihood``).  Observations are
+    numbered lasers first, then sonars; the cached total, a delta and a
+    :meth:`recompute_total` are all summed left to right in that order.
 
     The construction-time coloring must give every sensor a free (white)
     position.  A state with a black sensor has likelihood zero and is never
@@ -712,54 +795,24 @@ class ObservationCache:
                  sonars: list[SonarObs],
                  laser_params: LaserParams | None = None,
                  sonar_params: SonarParams | None = None):
-        self.lp = laser_params if laser_params is not None else LaserParams()
-        self.sp = sonar_params if sonar_params is not None else SonarParams()
-        self.obs: list[LaserObs | SonarObs] = list(lasers) + list(sonars)
-        n = len(self.obs)
-        self.n_laser = len(lasers)
-        self.sx = np.array([o.x for o in self.obs], dtype=np.float64)
-        self.sy = np.array([o.y for o in self.obs], dtype=np.float64)
-        self.ll = np.zeros(n, dtype=np.float64)
-
-        # each observation's box (xlo, xhi, ylo, yhi), renewed with its extent
-        self.box = np.zeros((4, n))
-
-        # laser readings, beam directions, caps and impact points
-        self.reading = np.array([o.range for o in lasers], dtype=np.float64)
-        self.flagged = np.array([o.is_max_range for o in lasers], dtype=bool)
-        self.max_range = np.array([o.max_range for o in lasers], dtype=np.float64)
-        self.dirx = np.zeros(n)
-        self.diry = np.zeros(n)
-        self.cap = np.zeros(n)
-        self.impact_x = np.zeros(n)
-        self.impact_y = np.zeros(n)
-        for i, o in enumerate(lasers):
-            direction = beam_direction(o.heading, o.bearing)
-            self.dirx[i], self.diry[i] = direction
-            self.cap[i] = beam_cap(col, Point2(o.x, o.y), direction, o.max_range)
-
-        # sonar geometry: wedge vectors, sector reach and truncated radii
-        self.cones = _SonarCones(sonars, self.sp)
-        self.ulox = np.zeros(n)
-        self.uloy = np.zeros(n)
-        self.uhix = np.zeros(n)
-        self.uhiy = np.zeros(n)
-        c = slice(self.n_laser, None)
-        self.ulox[c], self.uloy[c] = self.cones.ulox, self.cones.uloy
-        self.uhix[c], self.uhiy[c] = self.cones.uhix, self.cones.uhiy
-        self.reach = self.cones.reach
-        self.trunc_radius = np.zeros(n)
-
+        self.parts: list[_LaserBeams | _SonarCones] = []
+        if lasers:
+            self.parts.append(_LaserBeams(lasers, col, laser_params or LaserParams()))
+        if sonars:
+            self.parts.append(_SonarCones(sonars, sonar_params or SonarParams()))
+        self.sx = np.concatenate([[], *(part.sx for part in self.parts)])
+        self.sy = np.concatenate([[], *(part.sy for part in self.parts)])
         if bool(col.colors_at(self.sx, self.sy).any()):
             raise ValueError("every sensor position must start in free space")
-        every = np.arange(n)
-        ll, ext = self._evaluate(every, col)
-        zero = np.flatnonzero(ll == -math.inf)
+        staged = self._evaluate(col, _every)
+        zero = np.flatnonzero(np.concatenate([[], *(ll for _, _, ll, _ in staged)])
+                              == -math.inf)
         if len(zero):
             raise ValueError(f"observation {zero[0]} starts with zero likelihood")
-        self._store(every, ll, ext)
-        self._total = _running_sum(self.ll)
-        self._staged: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        for part, idx, ll, ext in staged:
+            part.store(idx, ll, ext)
+        self._total = _running_sum(*(part.ll for part in self.parts))
+        self._staged: list | None = None
         self._staged_delta = 0.0
 
     # -- protocol ---------------------------------------------------------
@@ -770,15 +823,16 @@ class ObservationCache:
     def delta_for_edit(self, col: Coloring, result) -> float:
         if len(changed_points(col, result, self.sx, self.sy)):
             return -math.inf
-        idx = self._touched_observations(result.delta_segments)
-        ll, ext = self._evaluate(idx, col)
-        self._staged = (idx, ll, ext)
-        self._staged_delta = _running_sum(ll - self.ll[idx])
+        segs = np.array(result.delta_segments, dtype=np.float64).reshape(-1, 4).T
+        self._staged = self._evaluate(col, lambda part: part.touched(*segs))
+        self._staged_delta = _running_sum(*(ll - part.ll[idx]
+                                            for part, idx, ll, _ in self._staged))
         return self._staged_delta
 
     def commit(self) -> None:
         assert self._staged is not None
-        self._store(*self._staged)
+        for part, idx, ll, ext in self._staged:
+            part.store(idx, ll, ext)
         self._total += self._staged_delta
         self._staged = None
 
@@ -791,94 +845,31 @@ class ObservationCache:
         """From-scratch total log likelihood of the current coloring."""
         if bool(col.colors_at(self.sx, self.sy).any()):
             return -math.inf
-        return _running_sum(self._evaluate(np.arange(len(self.obs)), col)[0])
+        return _running_sum(*(ll for _, _, ll, _ in self._evaluate(col, _every)))
 
     # -- internals --------------------------------------------------------
 
-    def _touched_observations(self, delta_segs) -> np.ndarray:
-        """Indices of the observations any of the segments touches.
-
-        The exact tests run only on the (segment, observation) pairs whose
-        boxes meet, the segment's box widened by ``_TOUCH_EPS`` (see
-        :meth:`_store` for the observations' boxes).
-        """
-        nl = self.n_laser
-        ax, ay, bx, by = np.array(delta_segs, dtype=np.float64).reshape(-1, 4).T
-        xlo, xhi, ylo, yhi = self.box
-        near = ((xlo <= (np.maximum(ax, bx) + _TOUCH_EPS)[:, None])
-                & (xhi >= (np.minimum(ax, bx) - _TOUCH_EPS)[:, None])
-                & (ylo <= (np.maximum(ay, by) + _TOUCH_EPS)[:, None])
-                & (yhi >= (np.minimum(ay, by) - _TOUCH_EPS)[:, None]))
-        hit = np.zeros(len(self.obs), dtype=bool)
-        if nl:
-            seg, beam = np.nonzero(near[:, :nl])
-            touch = _segments_touch(self.sx[beam], self.sy[beam], self.impact_x[beam],
-                                    self.impact_y[beam], ax[seg], ay[seg], bx[seg], by[seg])
-            hit[beam[touch]] = True
-        if len(self.obs) > nl:
-            seg, cone = np.nonzero(near[:, nl:])
-            cone += nl
-            d = _wedge_clip_distance(self.sx[cone], self.sy[cone], self.ulox[cone],
-                                     self.uloy[cone], self.uhix[cone], self.uhiy[cone],
-                                     ((ax[seg], ay[seg]), (bx[seg], by[seg])))
-            hit[cone[d <= self.trunc_radius[cone] + _TOUCH_EPS]] = True
-        return np.flatnonzero(hit)
-
-    def _evaluate(self, idx: np.ndarray, col: Coloring) -> tuple[np.ndarray, np.ndarray]:
-        """Log likelihood and extent of each observation in the increasing
-        indices ``idx``, whose sensors are all free.
-
-        The beams among them are cast in one :func:`cast_beams` call and the
-        cones swept together by :meth:`_SonarCones.evaluate`.
-        """
-        k = int(np.searchsorted(idx, self.n_laser))
-        ll = np.empty(len(idx))
-        ext = np.empty(len(idx))
-        if k:
-            b = idx[:k]
-            ext[:k], _ = cast_beams(col, self.sx[b], self.sy[b], self.dirx[b],
-                                    self.diry[b], self.cap[b])
-            ll[:k] = _laser_density_log_batch(self.reading[b], self.flagged[b], ext[:k],
-                                              self.max_range[b], self.lp)
-        if k < len(idx):
-            ll[k:], ext[k:] = self.cones.evaluate(idx[k:] - self.n_laser, col)
-        return ll, ext
-
-    def _store(self, idx: np.ndarray, ll: np.ndarray, ext: np.ndarray) -> None:
-        """Cache log likelihoods and extents of the increasing indices ``idx``,
-        and renew their boxes.
-
-        A beam within ``_TOUCH_EPS`` of a segment has its ``[sensor, impact]``
-        box within ``_TOUCH_EPS`` of the segment's box, and a cone touched by
-        a segment has a point of it in its wedge within its truncated radius
-        plus ``_TOUCH_EPS`` of the apex.  So a beam's box is its ``[sensor,
-        impact]`` box widened by ``_TOUCH_EPS``, and a cone's box that of its
-        sector of that radius (as :meth:`Cone.bbox` bounds a sector): with
-        the segment's own widening, every touched pair's boxes meet, with
-        room to spare for rounding.
-        """
-        self.ll[idx] = ll
-        k = int(np.searchsorted(idx, self.n_laser))
-        b, c = idx[:k], idx[k:]
-        box = self.box
-        sx, sy = self.sx[b], self.sy[b]
-        ix = self.impact_x[b] = sx + ext[:k] * self.dirx[b]
-        iy = self.impact_y[b] = sy + ext[:k] * self.diry[b]
-        box[0, b] = np.minimum(sx, ix) - _TOUCH_EPS
-        box[1, b] = np.maximum(sx, ix) + _TOUCH_EPS
-        box[2, b] = np.minimum(sy, iy) - _TOUCH_EPS
-        box[3, b] = np.maximum(sy, iy) + _TOUCH_EPS
-        self.trunc_radius[c] = ext[k:]
-        r, j = ext[k:] + _TOUCH_EPS, c - self.n_laser
-        box[0, c] = self.sx[c] - r * self.reach[0, j]
-        box[1, c] = self.sx[c] + r * self.reach[1, j]
-        box[2, c] = self.sy[c] - r * self.reach[2, j]
-        box[3, c] = self.sy[c] + r * self.reach[3, j]
+    def _evaluate(self, col: Coloring, pick) -> list:
+        """``(part, idx, ll, ext)`` of each part with observations to
+        evaluate: the log likelihoods and extents of its observations
+        ``idx = pick(part)`` (increasing), whose sensors are all free."""
+        out = []
+        for part in self.parts:
+            idx = pick(part)
+            if len(idx):
+                out.append((part, idx, *part.evaluate(idx, col)))
+        return out
 
 
-def _running_sum(a: np.ndarray) -> float:
-    """``0.0 + a[0] + a[1] + ...`` left to right, as a Python loop adds."""
-    return float(np.cumsum(np.concatenate(([0.0], a)))[-1])
+def _every(part) -> np.ndarray:
+    """Indices of all the part's observations."""
+    return np.arange(len(part.ll))
+
+
+def _running_sum(*arrays: np.ndarray) -> float:
+    """``0.0 + a[0] + a[1] + ...`` over the arrays in turn, left to right,
+    as a Python loop adds."""
+    return float(np.cumsum(np.concatenate(([0.0], *arrays)))[-1])
 
 
 def _sweep_contact_radius_points(triples, o: SonarObs) -> float:

@@ -111,6 +111,24 @@ def test_rooms_sonar_chain_from_the_true_walls_is_pinned(rooms_log, delta_stream
     assert delta_stream.digest() == "993fe853b892e0bb"
 
 
+def test_corridor_mixed_chain_is_pinned(tmp_path, delta_stream):
+    # The corridor world scanned by lasers and sonars together: the only
+    # pinned chain whose edits touch both families, so it guards the touched
+    # set across them and the order in which a delta adds beams and cones.
+    cfg = dataclasses.replace(RunConfig(), world="corridor", seed=0, sim_seed=0,
+                              sim_sensors="both", proposals=500, burn_in=50,
+                              sample_every=5, chains=1)
+    assert cmd_simulate(cfg, str(tmp_path / "mixed")) == 0
+    log = read_scanlog(str(tmp_path / "mixed.log"))
+    assert (len(log.lasers), len(log.sonars)) == (5_400, 480)
+    _, samp, _ = run_posterior_chain(log, cfg, 0)
+    st = samp.stats
+    assert (st.proposals, st.applied, st.accepted) == (500, 136, 11)
+    assert _signature(samp) == "1a25d126c7ec95c1"
+    assert len(delta_stream.deltas) == 136
+    assert delta_stream.digest() == "a5605ecc8d0a288b"
+
+
 def test_tally_accounting():
     s = make_sampler(8)
     n = 30_000

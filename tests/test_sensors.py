@@ -37,7 +37,7 @@ from prfmap.sensors import (_TOUCH_EPS, CompositeLikelihood, LaserObs,
                             LaserParams, _laser_density_log,
                             _laser_density_log_batch,
                             _seg_batch_min_dist, _sonar_density_log, _sonar_eval,
-                            _SonarCones, _sweep_contact_radius_points,
+                            _LaserBeams, _SonarCones, _sweep_contact_radius_points,
                             _wedge_clip_distance,
                             ObservationCache, beam_cap, cast_beams,
                             PointColorLikelihood, PointColorObs, SonarObs,
@@ -611,14 +611,14 @@ def test_cache_total_tracks_recomputation_over_chain():
         checks = 0
 
         def on_accept(self, col, result):
-            for i, o in enumerate(cache.obs):
-                if i < cache.n_laser:
-                    assert cache.ll[i] == laser_log_likelihood(o, col, cache.lp), \
-                        f"observation {i} stale after accept {self.checks}"
-                else:
-                    want = sonar_log_likelihood(o, col, cache.sp)
-                    assert cache.ll[i] == pytest.approx(want, rel=1e-12), \
-                        f"observation {i} stale after accept {self.checks}"
+            beams, cones = cache.parts
+            for i, o in enumerate(lasers):
+                assert beams.ll[i] == laser_log_likelihood(o, col, beams.p), \
+                    f"observation {i} stale after accept {self.checks}"
+            for i, o in enumerate(sonars):
+                want = sonar_log_likelihood(o, col, cones.p)
+                assert cones.ll[i] == pytest.approx(want, rel=1e-12), \
+                    f"observation {len(lasers) + i} stale after accept {self.checks}"
             # the flipped-sensor early exit rests on this: no accepted
             # state ever puts a sensor in occupied space
             assert not col.colors_at(cache.sx, cache.sy).any(), \
@@ -655,7 +655,9 @@ def test_edit_flipping_a_sensor_is_rejected_before_any_evaluation(monkeypatch):
     result = col.apply_edit(edit)
     assert col.color_at(Point2(1.1, 1.3)) == BLACK
     # the edit also reaches the other beam and the cone
-    assert list(cache._touched_observations(result.delta_segments)) == [0, 1, 2]
+    beams, cones = cache.parts
+    assert _touched(beams, result.delta_segments) == [0, 1]
+    assert _touched(cones, result.delta_segments) == [0]
 
     calls = []
     cast, sweep = EdgeGridIndex.ray_cast, prfmap.sensors.visibility_sweep
@@ -674,13 +676,17 @@ def test_edit_flipping_a_sensor_is_rejected_before_any_evaluation(monkeypatch):
     assert cache.recompute_total(col) == pytest.approx(before, rel=1e-12)
 
 
-def _touched_beams_unfiltered(cache, segs) -> list[int]:
+def _touched(part, segs) -> list[int]:
+    """The observations of a cache part that the segments touch."""
+    return part.touched(*np.array(segs, dtype=np.float64).reshape(-1, 4).T).tolist()
+
+
+def _touched_beams_unfiltered(beams, segs) -> list[int]:
     """Every beam within _TOUCH_EPS of a segment, by one exact pass over all."""
-    nl = cache.n_laser
-    hit = np.zeros(nl, dtype=bool)
+    hit = np.zeros(len(beams.ll), dtype=bool)
     for seg in segs:
-        hit |= _seg_batch_min_dist(cache.sx[:nl], cache.sy[:nl], cache.impact_x[:nl],
-                                   cache.impact_y[:nl], seg) <= _TOUCH_EPS
+        hit |= _seg_batch_min_dist(beams.sx, beams.sy, beams.impact_x, beams.impact_y,
+                                   seg) <= _TOUCH_EPS
     return np.flatnonzero(hit).tolist()
 
 
@@ -694,6 +700,7 @@ def test_box_prefilter_keeps_exactly_the_touched_beams():
         d, _ = laser_true_distance(col, Point2(x, y), beam_direction(heading, 0.0), 8.0)
         lasers.append(LaserObs(x, y, heading, 0.0, d, 8.0))
     cache = ObservationCache(col, lasers, [])
+    beams, = cache.parts
     checked = {"edits": 0, "touched": 0}
 
     class Checked:
@@ -702,8 +709,8 @@ def test_box_prefilter_keeps_exactly_the_touched_beams():
             return cache.log_likelihood()
 
         def delta_for_edit(self, col, result):
-            got = cache._touched_observations(result.delta_segments).tolist()
-            assert got == _touched_beams_unfiltered(cache, result.delta_segments)
+            got = _touched(beams, result.delta_segments)
+            assert got == _touched_beams_unfiltered(beams, result.delta_segments)
             checked["edits"] += 1
             checked["touched"] += len(got)
             return cache.delta_for_edit(col, result)
@@ -722,9 +729,9 @@ def test_box_prefilter_keeps_exactly_the_touched_beams():
     # its impact and across its line, for an axis-parallel beam and a slanted one
     segs = []
     for i in (len(lasers) - 5, len(lasers) - 4, 0):
-        sx, sy = float(cache.sx[i]), float(cache.sy[i])
-        ix, iy = float(cache.impact_x[i]), float(cache.impact_y[i])
-        ux, uy = float(cache.dirx[i]), float(cache.diry[i])
+        sx, sy = float(beams.sx[i]), float(beams.sy[i])
+        ix, iy = float(beams.impact_x[i]), float(beams.impact_y[i])
+        ux, uy = float(beams.dirx[i]), float(beams.diry[i])
         mx, my = 0.5 * (sx + ix), 0.5 * (sy + iy)
         for gap in (0.5 * _TOUCH_EPS, _TOUCH_EPS, np.nextafter(_TOUCH_EPS, 1.0),
                     2.0 * _TOUCH_EPS, 3.0 * _TOUCH_EPS):
@@ -736,16 +743,16 @@ def test_box_prefilter_keeps_exactly_the_touched_beams():
                 segs.append(Segment(Point2(px - 0.3 * vx, py - 0.3 * vy), Point2(px, py)))
     touched = 0
     for seg in segs:
-        got = cache._touched_observations([seg]).tolist()
-        assert got == _touched_beams_unfiltered(cache, [seg]), seg
+        got = _touched(beams, [seg])
+        assert got == _touched_beams_unfiltered(beams, [seg]), seg
         touched += bool(got)
     assert 0 < touched < len(segs)
     # segments that meet a beam exactly: zero length on its line, collinear
     # with it and overlapping it, and ending exactly at its impact point
     exact = []
     for i in range(0, len(lasers), 3):
-        sx, sy = float(cache.sx[i]), float(cache.sy[i])
-        ix, iy = float(cache.impact_x[i]), float(cache.impact_y[i])
+        sx, sy = float(beams.sx[i]), float(beams.sy[i])
+        ix, iy = float(beams.impact_x[i]), float(beams.impact_y[i])
         mx, my = 0.5 * (sx + ix), 0.5 * (sy + iy)
         qx, qy = sx + 0.75 * (ix - sx), sy + 0.75 * (iy - sy)
         exact += [Segment(Point2(sx, sy), Point2(sx, sy)),
@@ -755,8 +762,8 @@ def test_box_prefilter_keeps_exactly_the_touched_beams():
                   Segment(Point2(ix + 0.2, iy - 0.3), Point2(ix, iy)),
                   Segment(Point2(ix, iy), Point2(ix - 0.1, iy + 0.4))]
     for seg in exact:
-        got = cache._touched_observations([seg]).tolist()
-        assert got == _touched_beams_unfiltered(cache, [seg]), seg
+        got = _touched(beams, [seg])
+        assert got == _touched_beams_unfiltered(beams, [seg]), seg
         assert got, seg
     # several segments in one call: the one pass equals the union of the
     # per-segment references
@@ -764,21 +771,18 @@ def test_box_prefilter_keeps_exactly_the_touched_beams():
     every = segs + exact
     for k in range(200):
         group = [every[j] for j in rng.choice(len(every), size=1 + k % 6, replace=False)]
-        assert cache._touched_observations(group).tolist() == \
-            _touched_beams_unfiltered(cache, group), group
-    assert cache._touched_observations(every).tolist() == \
-        _touched_beams_unfiltered(cache, every)
+        assert _touched(beams, group) == _touched_beams_unfiltered(beams, group), group
+    assert _touched(beams, every) == _touched_beams_unfiltered(beams, every)
 
 
-def _touched_cones_unfiltered(cache, segs) -> list[int]:
+def _touched_cones_unfiltered(cones, segs) -> list[int]:
     """Every cone a segment touches, by one wedge pass per segment over all."""
-    c = slice(cache.n_laser, None)
-    hit = np.zeros(len(cache.obs) - cache.n_laser, dtype=bool)
+    hit = np.zeros(len(cones.ll), dtype=bool)
     for seg in segs:
-        hit |= _wedge_clip_distance(cache.sx[c], cache.sy[c], cache.ulox[c], cache.uloy[c],
-                                    cache.uhix[c], cache.uhiy[c], seg) \
-            <= cache.trunc_radius[c] + _TOUCH_EPS
-    return (cache.n_laser + np.flatnonzero(hit)).tolist()
+        hit |= _wedge_clip_distance(cones.sx, cones.sy, cones.ulox, cones.uloy,
+                                    cones.uhix, cones.uhiy, seg) \
+            <= cones.trunc_radius + _TOUCH_EPS
+    return np.flatnonzero(hit).tolist()
 
 
 def test_box_prefilter_keeps_exactly_the_touched_cones():
@@ -798,9 +802,13 @@ def test_box_prefilter_keeps_exactly_the_touched_cones():
                for h in (0.0, math.pi / 2, math.pi, -math.pi / 2)]
     sonars.append(SonarObs(1.5, 1.5, 0.0, 0.0, math.radians(15.0), 0.5, 1.0))
     cache = ObservationCache(col, lasers, sonars)
+    beams, cones = cache.parts
+
+    def filtered(segs):
+        return _touched(beams, segs), _touched(cones, segs)
 
     def unfiltered(segs):
-        return _touched_beams_unfiltered(cache, segs) + _touched_cones_unfiltered(cache, segs)
+        return _touched_beams_unfiltered(beams, segs), _touched_cones_unfiltered(cones, segs)
 
     checked = {"edits": 0, "cones": 0}
 
@@ -810,19 +818,19 @@ def test_box_prefilter_keeps_exactly_the_touched_cones():
             return cache.log_likelihood()
 
         def delta_for_edit(self, col, result):
-            got = cache._touched_observations(result.delta_segments).tolist()
-            assert got == unfiltered(result.delta_segments)
+            got_beams, got_cones = filtered(result.delta_segments)
+            assert (got_beams, got_cones) == unfiltered(result.delta_segments)
             checked["edits"] += 1
-            checked["cones"] += sum(i >= cache.n_laser for i in got)
+            checked["cones"] += len(got_cones)
             delta = cache.delta_for_edit(col, result)
             if not col.colors_at(cache.sx, cache.sy).any():
                 # the delta is the scalar likelihoods' changes added left to
                 # right in increasing index, bit for bit
                 want = 0.0
-                for i in got:
-                    o = cache.obs[i]
-                    want += (laser_log_likelihood(o, col, cache.lp) if i < cache.n_laser
-                             else sonar_log_likelihood(o, col, cache.sp)) - cache.ll[i]
+                for i in got_beams:
+                    want += laser_log_likelihood(lasers[i], col, beams.p) - beams.ll[i]
+                for i in got_cones:
+                    want += sonar_log_likelihood(sonars[i], col, cones.p) - cones.ll[i]
                 assert delta == want
             return delta
 
@@ -839,25 +847,25 @@ def test_box_prefilter_keeps_exactly_the_touched_cones():
     # segments across each cone's axis about its truncated radius plus
     # _TOUCH_EPS from the apex, the limit of the touch test
     segs = []
-    n = len(cache.obs)
-    for i in [*range(cache.n_laser, n, 7), *range(n - 5, n)]:
-        ax, ay = float(cache.sx[i]), float(cache.sy[i])
-        hx, hy = float(cache.ulox[i] + cache.uhix[i]), float(cache.uloy[i] + cache.uhiy[i])
+    n = len(sonars)
+    for i in [*range(0, n, 7), *range(n - 5, n)]:
+        ax, ay = float(cones.sx[i]), float(cones.sy[i])
+        hx, hy = float(cones.ulox[i] + cones.uhix[i]), float(cones.uloy[i] + cones.uhiy[i])
         ux, uy = hx / math.hypot(hx, hy), hy / math.hypot(hx, hy)
         for gap in (-_TOUCH_EPS, 0.5 * _TOUCH_EPS, _TOUCH_EPS, 2.0 * _TOUCH_EPS,
                     3.0 * _TOUCH_EPS):
-            reach = float(cache.trunc_radius[i]) + gap
+            reach = float(cones.trunc_radius[i]) + gap
             px, py = ax + reach * ux, ay + reach * uy
             segs.append(Segment(Point2(px - 0.01 * uy, py + 0.01 * ux),
                                 Point2(px + 0.01 * uy, py - 0.01 * ux)))
     touched = 0
     for seg in segs:
-        got = cache._touched_observations([seg]).tolist()
+        got = filtered([seg])
         assert got == unfiltered([seg]), seg
-        touched += any(i >= cache.n_laser for i in got)
+        touched += bool(got[1])
     assert 0 < touched < len(segs)
     for k in range(0, len(segs), 4):
-        assert cache._touched_observations(segs[k:k + 4]).tolist() == unfiltered(segs[k:k + 4])
+        assert filtered(segs[k:k + 4]) == unfiltered(segs[k:k + 4])
 
 
 def test_zero_likelihood_start_names_the_lowest_observation():
@@ -869,6 +877,15 @@ def test_zero_likelihood_start_names_the_lowest_observation():
     assert _laser_density_log(0.79, False, 1.5, 8.0, p) == -math.inf
     with pytest.raises(ValueError, match="^observation 2 starts with zero likelihood$"):
         ObservationCache(col, [fits, fits, short, fits, short], [sonar, sonar], p)
+    # a cone facing away from the wall sees nothing, and with all outlier
+    # weight on max range its short reading has density zero; the message
+    # numbers it after the lasers
+    sp = SonarParams(w_uniform=0.0, w_exponential=0.0, w_maxrange=1.0)
+    blind = SonarObs(0.3, 1.5, math.pi, 0.0, math.radians(10.0), 1.0, 3.5)
+    assert _sonar_eval(sonar, col, sp)[0] > -math.inf
+    assert _sonar_eval(blind, col, sp)[0] == -math.inf
+    with pytest.raises(ValueError, match="^observation 3 starts with zero likelihood$"):
+        ObservationCache(col, [fits, fits], [sonar, blind, sonar, blind], sonar_params=sp)
 
 
 def test_cache_rejects_start_inside_occupied_space():
@@ -957,9 +974,9 @@ def test_batched_cones_match_the_sweep_on_the_rooms_walls(rooms_log):
     cfg = RunConfig()
     col = make_world(WorldSpec("rooms"), cell_size=cfg.index_cell_size)
     sp = cfg.sonar_params()
-    cache = ObservationCache(col, [], rooms_log.sonars, sonar_params=sp)
+    cones, = ObservationCache(col, [], rooms_log.sonars, sonar_params=sp).parts
     want = [_sonar_eval(o, col, sp) for o in rooms_log.sonars]
-    assert _hex_pairs(cache.ll, cache.trunc_radius) == _hex_pairs(*zip(*want))
+    assert _hex_pairs(cones.ll, cones.trunc_radius) == _hex_pairs(*zip(*want))
     # most cones see a wall, and many see it whole across their arc
     assert sum(e < o.max_range for (_, e), o in zip(want, rooms_log.sonars)) > 1_000
 
@@ -1072,7 +1089,10 @@ def test_fresh_cache_total_equals_recomputation(rooms_log):
     col = wall_scene()
     lasers, sonars, _ = _random_observations(col, np.random.default_rng(23),
                                              n_laser=300, n_sonar=100, n_point=0)
-    for c, beams, cones in ((col, lasers, []), (rooms, [], rooms_log.sonars),
-                            (col, lasers, sonars)):
+    # a log builds only the parts of the families it has
+    for c, beams, cones, parts in ((col, lasers, [], [_LaserBeams]),
+                                   (rooms, [], rooms_log.sonars, [_SonarCones]),
+                                   (col, lasers, sonars, [_LaserBeams, _SonarCones])):
         cache = ObservationCache(c, beams, cones)
+        assert [type(part) for part in cache.parts] == parts
         assert cache.log_likelihood() == cache.recompute_total(c)
