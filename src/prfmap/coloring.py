@@ -6,9 +6,11 @@ Colors are induced by crossing parity from an anchor point with a stored
 color, so the edge set plus one bit determines the color of every point.
 
 Edits (the unit of change used by chain moves) are applied incrementally:
-cached edge/angle statistics, the spatial index, and id sets are all updated
-in place, and a revert token restores the previous state exactly, including
+cached edge/angle statistics, the edge table, and id sets are all updated in
+place, and a revert token restores the previous state exactly, including
 bit-identical cached statistics.
+The edge table's rows (each live edge's id, ends, box and supercover
+cells) serve the sensors' edge arrays, box queries and co-occupancy.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from .geometry import (
     Segment,
     boundary_tangent,
     crossing_parity,
+    grid_trace_segment,
     point_segment_distance,
     segment_min_distance,
     segments_properly_intersect,
     sin_angle_between,
 )
-from .grid_index import EdgeGridIndex
 
 WHITE = 0
 BLACK = 1
@@ -101,14 +103,17 @@ class IndexedSet:
             self._pos[x] = len(self._items)
             self._items.append(x)
 
-    def discard(self, x: int) -> None:
-        i = self._pos.pop(x, None)
-        if i is None:
-            return
+    def position(self, x: int) -> int:
+        return self._pos[x]
+
+    def remove(self, x: int) -> int:
+        """Remove x; the last item takes its position, which is returned."""
+        i = self._pos.pop(x)
         last = self._items.pop()
         if last != x:
             self._items[i] = last
             self._pos[last] = i
+        return i
 
     def pick(self, rng: np.random.Generator) -> int:
         return self._items[int(rng.integers(len(self._items)))]
@@ -153,7 +158,7 @@ class ApplyResult:
 
 
 class Coloring:
-    """Mutable polygonal coloring with cached statistics and spatial index."""
+    """Mutable polygonal coloring with cached statistics and an edge table."""
 
     def __init__(self, window: Rect, cell_size: float = 0.25,
                  anchor: Point2 | None = None, anchor_color: int = WHITE):
@@ -164,10 +169,16 @@ class Coloring:
         self.anchor_color = anchor_color
         self.stats = PriorStats()
         self.grid = GridSpec(window, cell_size)
-        self.index = EdgeGridIndex(self.grid)
         self.interior_ids = IndexedSet()
         self.boundary_ids = IndexedSet()
         self.edge_ids = IndexedSet()
+        # Table row i (arrays over-allocated) holds the id and geometry of
+        # edge_ids' item i: ends (ax, ay, bx, by), then box (xmin, ymin,
+        # -xmax, -ymax).  Rows are swap-removed as ids are, so they never
+        # outnumber the live edges.  Cells are keyed by id.
+        self._eid = np.empty(8, dtype=np.int64)
+        self._geom = np.empty((8, 8))
+        self._cells: dict[int, frozenset[tuple[int, int]]] = {}
         self._next_vid = 0
         self._next_eid = 0
         self.external_ref = self._pick_external_ref()
@@ -233,11 +244,38 @@ class Coloring:
     def neighbors(self, vid: int) -> list[int]:
         return [self.other_endpoint(e, vid) for e in self.vertices[vid].edges]
 
+    # -- edge table queries -----------------------------------------------
+
+    def live_edges(self):
+        """Arrays ``(eids, ax, ay, bx, by)`` of the live edges in increasing
+        id: each edge's id and the coordinates of its two ends."""
+        order = np.argsort(self._eid[:len(self.edge_ids)])
+        return (self._eid[order], *self._geom[order, :4].T)
+
+    def edges_near_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float,
+                        pad: float = 0.0) -> list[int]:
+        """Live edges whose box meets the closed box widened by ``pad``, in
+        increasing id."""
+        n = len(self.edge_ids)
+        # -max <= pad - min exactly when max >= min - pad: one comparison
+        meet = (self._geom[:n, 4:] <= (xmax + pad, ymax + pad, pad - xmin, pad - ymin)).all(axis=1)
+        return sorted(self._eid[:n][meet].tolist())
+
+    def edges_sharing_a_cell(self, seg: Segment) -> list[int]:
+        """Live edges whose supercover cells meet seg's, in increasing id."""
+        return self._sharing(seg, frozenset(grid_trace_segment(seg, self.grid)))
+
     def co_occupant_edges(self, eid: int) -> list[int]:
         """Edges sharing at least one grid cell with eid, sorted, excluding it."""
-        got = self.index.edges_in_cells(self.index.cells_of(eid))
-        got.discard(eid)
-        return sorted(got)
+        got = self._sharing(self.segment_of(eid), self._cells[eid])
+        got.remove(eid)
+        return got
+
+    def _sharing(self, seg: Segment, cells) -> list[int]:
+        # Segments whose traces share a cell both meet its closed square, up
+        # to rounding, so their boxes lie within one cell size of each other.
+        near = self.edges_near_bbox(*_box_of(seg), pad=2.0 * self.grid.cell_size)
+        return [e for e in near if not cells.isdisjoint(self._cells[e])]
 
     # -- structural primitives (no stats bookkeeping) ---------------------
 
@@ -255,7 +293,7 @@ class Coloring:
     def _delete_vertex(self, vid: int) -> None:
         v = self.vertices.pop(vid)
         assert not v.edges, f"deleting vertex {vid} with incident edges"
-        (self.interior_ids if v.kind == INTERIOR else self.boundary_ids).discard(vid)
+        (self.interior_ids if v.kind == INTERIOR else self.boundary_ids).remove(vid)
 
     def _add_edge(self, v1: int, v2: int, eid: int | None = None) -> int:
         if eid is None:
@@ -265,23 +303,35 @@ class Coloring:
         self.vertices[v1].edges.append(eid)
         self.vertices[v2].edges.append(eid)
         self.edge_ids.add(eid)
-        self.index.add(eid, Segment(self.vertices[v1].point, self.vertices[v2].point))
+        row = len(self.edge_ids) - 1
+        if row == len(self._eid):
+            self._eid, self._geom = (np.concatenate((a, a)) for a in (self._eid, self._geom))
+        self._store_row(row, eid)
         return eid
 
     def _remove_edge(self, eid: int) -> tuple[int, int]:
         v1, v2 = self.edges.pop(eid)
         self.vertices[v1].edges.remove(eid)
         self.vertices[v2].edges.remove(eid)
-        self.edge_ids.discard(eid)
-        self.index.remove(eid)
+        row, last = self.edge_ids.remove(eid), len(self.edge_ids)
+        for a in (self._eid, self._geom):
+            a[row] = a[last]  # the last row fills the gap, as in edge_ids
+        del self._cells[eid]
         return v1, v2
 
     def _move_vertex(self, vid: int, x: float, y: float) -> None:
         v = self.vertices[vid]
         v.x, v.y = x, y
         for eid in v.edges:
-            self.index.remove(eid)
-            self.index.add(eid, self.segment_of(eid))
+            self._store_row(self.edge_ids.position(eid), eid)
+
+    def _store_row(self, row: int, eid: int) -> None:
+        """Write edge eid's id, ends, box and cells into table row ``row``."""
+        seg = self.segment_of(eid)
+        (ax, ay), (bx, by) = seg
+        self._eid[row] = eid
+        self._geom[row] = ax, ay, bx, by, min(ax, bx), min(ay, by), -max(ax, bx), -max(ay, by)
+        self._cells[eid] = frozenset(grid_trace_segment(seg, self.grid))
 
     # -- statistics -------------------------------------------------------
 
@@ -487,48 +537,23 @@ class Coloring:
                         return False
 
         # candidate segments: added edges plus post images of moved edges
-        cands: list[tuple[tuple[int, int], Segment]] = []
-        for a, b in edit.added_edges:
-            cands.append(((a, b), Segment(pos(a), pos(b))))
-        moved_incident = set()
-        for vid in moved_pos:
-            for eid in self.vertices[vid].edges:
-                if eid not in removed_set:
-                    moved_incident.add(eid)
-        for eid in moved_incident:
-            v1, v2 = self.edges[eid]
-            cands.append(((v1, v2), Segment(pos(v1), pos(v2))))
+        moved_incident = {e for vid in moved_pos for e in self.vertices[vid].edges} - removed_set
+        pairs = [*edit.added_edges, *(self.edges[e] for e in moved_incident)]
+        cands = [((a, b), Segment(pos(a), pos(b))) for a, b in pairs]
 
-        for (a, b), seg in cands:
+        for i, ((a, b), seg) in enumerate(cands):
             L = math.hypot(seg.b.x - seg.a.x, seg.b.y - seg.a.y)
             if L < MIN_EDGE_LENGTH:
                 return False
             if point_segment_distance(self.anchor, seg.a, seg.b) < EPS_GEOM:
                 return False
-            pad = EPS_GEOM
-            nearby = self.index.edges_near_bbox(
-                min(seg.a.x, seg.b.x) - pad, min(seg.a.y, seg.b.y) - pad,
-                max(seg.a.x, seg.b.x) + pad, max(seg.a.y, seg.b.y) + pad)
-            for other in nearby:
-                if other in removed_set or other in moved_incident:
-                    continue
-                o1, o2 = self.edges[other]
-                shared = len({a, b} & {o1, o2}) > 0
-                oseg = self.segment_of(other)
-                if not shared:
-                    if segments_properly_intersect(seg, oseg):
-                        return False
-                    if segment_min_distance(seg, oseg) < EPS_GEOM:
-                        return False
-        for i in range(len(cands)):
-            for j in range(i + 1, len(cands)):
-                (a1, b1), s1 = cands[i]
-                (a2, b2), s2 = cands[j]
-                if len({a1, b1} & {a2, b2}) > 0:
-                    continue
-                if segments_properly_intersect(s1, s2):
-                    return False
-                if segment_min_distance(s1, s2) < EPS_GEOM:
+            # an edge within EPS_GEOM of seg has a box that meets the padded box
+            nearby = self.edges_near_bbox(*_box_of(seg), pad=EPS_GEOM)
+            others = [(self.edges[e], self.segment_of(e)) for e in nearby
+                      if e not in removed_set and e not in moved_incident]
+            for (o1, o2), oseg in others + cands[i + 1:]:
+                # segment_min_distance is 0 where the two cross
+                if not {a, b} & {o1, o2} and segment_min_distance(seg, oseg) < EPS_GEOM:
                     return False
 
         # angle floor at every touched vertex, in the post state
@@ -574,6 +599,19 @@ class Coloring:
 
     def validate(self) -> None:
         """Full structural check (quadratic; for tests and debugging)."""
+        self._check_structure()
+        live = self.stats
+        fresh = self.recompute_stats()
+        assert live.n_edges == fresh.n_edges
+        for a, b in ((live.total_length, fresh.total_length),
+                     (live.sum_log_length, fresh.sum_log_length),
+                     (live.sum_log_sin, fresh.sum_log_sin)):
+            assert abs(a - b) <= 1e-6 * max(1.0, abs(a), abs(b)), \
+                f"cached stats drifted: {a} vs {b}"
+        self.stats = live
+
+    def _check_structure(self) -> None:
+        """:meth:`validate` without the cached statistics."""
         for vid, v in self.vertices.items():
             if v.kind == INTERIOR:
                 assert len(v.edges) == 2, f"interior vertex {vid} degree {len(v.edges)}"
@@ -589,28 +627,27 @@ class Coloring:
         assert len(self.interior_ids) + len(self.boundary_ids) == len(self.vertices)
         assert sorted(self.edge_ids) == sorted(self.edges)
         for eid, (v1, v2) in self.edges.items():
-            assert v1 != v2
+            assert v1 != v2, f"edge {eid} is a loop at vertex {v1}"
             assert eid in self.vertices[v1].edges and eid in self.vertices[v2].edges
-            assert self.edge_length(eid) >= MIN_EDGE_LENGTH
+            assert self.edge_length(eid) >= MIN_EDGE_LENGTH, f"edge {eid} too short"
         eids = sorted(self.edges)
         for i, e1 in enumerate(eids):
             s1 = self.segment_of(e1)
-            assert point_segment_distance(self.anchor, s1.a, s1.b) >= EPS_GEOM
+            assert point_segment_distance(self.anchor, s1.a, s1.b) >= EPS_GEOM, \
+                f"edge {e1} touches the anchor"
             for e2 in eids[i + 1:]:
                 shared = len(set(self.edges[e1]) & set(self.edges[e2])) > 0
                 if not shared:
                     assert not segments_properly_intersect(s1, self.segment_of(e2)), \
                         f"edges {e1} and {e2} cross"
-        self.index.check_coherent({eid: self.segment_of(eid) for eid in self.edges})
-        live = self.stats
-        fresh = self.recompute_stats()
-        assert live.n_edges == fresh.n_edges
-        for a, b in ((live.total_length, fresh.total_length),
-                     (live.sum_log_length, fresh.sum_log_length),
-                     (live.sum_log_sin, fresh.sum_log_sin)):
-            assert abs(a - b) <= 1e-6 * max(1.0, abs(a), abs(b)), \
-                f"cached stats drifted: {a} vs {b}"
-        self.stats = live
+        assert self._cells.keys() == self.edges.keys()
+        for row, eid in enumerate(self.edge_ids):
+            seg = self.segment_of(eid)
+            x0, y0, x1, y1 = _box_of(seg)
+            assert [self._eid[row], *self._geom[row]] == \
+                [eid, *seg.a, *seg.b, x0, y0, -x1, -y1], f"table row {row} stale"
+            assert self._cells[eid] == frozenset(grid_trace_segment(seg, self.grid)), \
+                f"edge {eid} cells stale"
 
     def semantically_equal(self, other: "Coloring") -> bool:
         if self.window != other.window or self.anchor != other.anchor:
@@ -677,19 +714,32 @@ class Coloring:
 
     @classmethod
     def from_json_obj(cls, obj: dict, cell_size: float = 0.25) -> "Coloring":
-        win = Rect(*(float(v) for v in obj["window"]))
-        ax, ay = obj["anchor"]["point"]
+        """Coloring of a :meth:`to_json_obj` record; a malformed map raises
+        ValueError naming the record at fault."""
+        win = Rect(*_finite("window", obj["window"]))
+        ax, ay = _finite("anchor", obj["anchor"]["point"])
         color = BLACK if obj["anchor"]["color"] == "black" else WHITE
-        col = cls(win, cell_size, Point2(float(ax), float(ay)), color)
+        col = cls(win, cell_size, Point2(ax, ay), color)
         for rec in obj["vertices"]:
-            kind = rec["kind"]
+            vid, kind = int(rec["id"]), rec["kind"]
             if kind not in (INTERIOR, BOUNDARY):
-                raise ValueError(f"unknown vertex kind {kind!r}")
-            col._insert_vertex(int(rec["id"]), float(rec["x"]), float(rec["y"]), kind)
+                raise ValueError(f"vertex {vid}: unknown vertex kind {kind!r}")
+            if vid in col.vertices:
+                raise ValueError(f"vertex {vid}: duplicate id")
+            col._insert_vertex(vid, *_finite(f"vertex {vid}", (rec["x"], rec["y"])), kind)
         for rec in obj["edges"]:
-            v1, v2 = rec["vertices"]
-            col._add_edge(int(v1), int(v2), eid=int(rec["id"]))
-        col.recompute_stats()
+            eid = int(rec["id"])
+            v1, v2 = (int(v) for v in rec["vertices"])
+            if eid in col.edges:
+                raise ValueError(f"edge {eid}: duplicate id")
+            if unknown := sorted({v1, v2} - col.vertices.keys()):
+                raise ValueError(f"edge {eid}: unknown vertices {unknown}")
+            col._add_edge(v1, v2, eid=eid)
+        try:
+            col._check_structure()
+            col.recompute_stats()
+        except AssertionError as exc:
+            raise ValueError(f"invalid map: {exc}") from None
         return col
 
     @classmethod
@@ -747,6 +797,18 @@ def point_changed(anchor: Point2, q: Point2, delta_segments,
                   anchor_flipped: bool) -> bool:
     par = crossing_parity(anchor, q, delta_segments)
     return bool(par ^ int(anchor_flipped))
+
+
+def _box_of(seg: Segment) -> tuple[float, float, float, float]:
+    (ax, ay), (bx, by) = seg
+    return min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)
+
+
+def _finite(what: str, vals) -> list[float]:
+    out = [float(v) for v in vals]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{what}: non-finite coordinates {out}")
+    return out
 
 
 def _on_boundary_clear_of_corners(window: Rect, p: Point2) -> bool:

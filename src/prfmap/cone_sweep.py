@@ -79,7 +79,7 @@ def _ray_params(ox, oy, dx, dy, ax, ay, bx, by):
     return denom, (sx * ey - sy * ex) / denom, (sx * dy - sy * dx) / denom
 
 
-def _ray_hits(ox, oy, dx, dy, ax, ay, bx, by):
+def ray_hits(ox, oy, dx, dy, ax, ay, bx, by):
     """``(hit, t)``: where :func:`geometry.ray_segment_intersection` is not
     None, and its value."""
     denom, t, u = _ray_params(ox, oy, dx, dy, ax, ay, bx, by)
@@ -224,7 +224,7 @@ def _runs(g: ConeRows, e: EdgePairs, lo, hi) -> tuple[EdgePairs, np.ndarray, np.
     ux, uy = np.empty(len(ev_a)), np.empty(len(ev_a))
     ux[need], uy[need] = math_map(math.cos, ang), math_map(math.sin, ang)
     c = e.c[tj]
-    hit, t = _ray_hits(g.cx[c], g.cy[c], ux[ti], uy[ti], e.ax[tj], e.ay[tj], e.bx[tj], e.by[tj])
+    hit, t = ray_hits(g.cx[c], g.cy[c], ux[ti], uy[ti], e.ax[tj], e.ay[tj], e.bx[tj], e.by[tj])
     h = np.flatnonzero(hit)
     o = np.lexsort((e.sid[tj[h]], t[h], ti[h]))
     bi, bj = ti[h][o], tj[h][o]
@@ -291,8 +291,8 @@ def _corners(g: ConeRows, e: EdgePairs):
     n = np.bincount(e.c, minlength=len(g.cx))
     qi, qk = _expand(n[vc])
     q = (np.cumsum(n) - n)[vc[qi]] + qk
-    hit, t = _ray_hits(g.cx[vc[qi]], g.cy[vc[qi]], (dx / d)[qi], (dy / d)[qi],
-                       e.ax[q], e.ay[q], e.bx[q], e.by[q])
+    hit, t = ray_hits(g.cx[vc[qi]], g.cy[vc[qi]], (dx / d)[qi], (dy / d)[qi],
+                      e.ax[q], e.ay[q], e.bx[q], e.by[q])
     k = np.flatnonzero(np.bincount(qi[hit & (t < (d - EPS_GEOM)[qi])], minlength=len(vc)) == 0)
     zero = np.zeros(len(k))
     return (vc[k], np.ones(len(k), dtype=np.int64), vs[k], d[k], zero, zero,

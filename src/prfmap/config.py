@@ -46,7 +46,8 @@ class RunConfig:
     t_start: float = 1.0
     t_end: float = 0.01
 
-    # rasters and spatial indexing
+    # raster cells, and the coloring's grid cells, whose one use is to say
+    # which edges recolor_local counts as co-occupants
     cell_size: float = 0.05
     index_cell_size: float = 0.5
 

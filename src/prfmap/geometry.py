@@ -130,13 +130,6 @@ class GridSpec:
         iy0, iy1 = _index_range(ymin, ymax, self.window.ymin, self.cell_size, self.ny)
         return ix0, ix1, iy0, iy1
 
-    def cells_in_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float):
-        """Cells whose closed rectangle meets the closed bbox."""
-        ix0, ix1, iy0, iy1 = self.index_spans(xmin, ymin, xmax, ymax)
-        if ix0 > ix1 or iy0 > iy1:
-            return []
-        return [(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)]
-
 
 def cell_centers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Meshgrid arrays (ny, nx) of cell-center coordinates."""

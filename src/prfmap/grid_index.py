@@ -1,8 +1,9 @@
-"""Uniform-grid spatial index over segment sets.
+"""Reference ray cast over a uniform-grid index of segments.
 
-Each edge is registered in every cell its segment touches (supercover), so a
-cell walk along a ray tests exactly the edges that could intersect it, and a
-bounding box query over-approximates but never misses nearby edges.
+The chain reads edge geometry from the coloring's edge table; this index
+is the exact reference that batched beam casts are tested against.  Each
+edge is registered in every cell its segment touches (supercover), so a
+cell walk along a ray tests exactly the edges that could intersect it.
 """
 
 from __future__ import annotations
@@ -17,47 +18,19 @@ from .geometry import (
 
 
 class EdgeGridIndex:
-    """Mutable cell -> edge-id index with front-to-back ray casting."""
+    """Cell -> edge-id index with front-to-back ray casting."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self._cells: dict[tuple[int, int], set[int]] = {}
-        self._edge_cells: dict[int, list[tuple[int, int]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._edge_cells)
-
-    def __contains__(self, eid: int) -> bool:
-        return eid in self._edge_cells
+        self._ids: set[int] = set()
 
     def add(self, eid: int, seg: Segment) -> None:
-        if eid in self._edge_cells:
+        if eid in self._ids:
             raise ValueError(f"edge {eid} already indexed")
-        cells = [(ix, iy) for (_, ix, iy) in grid_trace_with_entries(seg, self.grid)]
-        self._edge_cells[eid] = cells
-        for c in cells:
-            self._cells.setdefault(c, set()).add(eid)
-
-    def remove(self, eid: int) -> None:
-        for c in self._edge_cells.pop(eid):
-            bucket = self._cells[c]
-            bucket.discard(eid)
-            if not bucket:
-                del self._cells[c]
-
-    def cells_of(self, eid: int) -> list[tuple[int, int]]:
-        return self._edge_cells[eid]
-
-    def edges_in_cells(self, cells) -> set[int]:
-        out: set[int] = set()
-        for c in cells:
-            got = self._cells.get(c)
-            if got:
-                out |= got
-        return out
-
-    def edges_near_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float) -> set[int]:
-        return self.edges_in_cells(self.grid.cells_in_bbox(xmin, ymin, xmax, ymax))
+        self._ids.add(eid)
+        for _, ix, iy in grid_trace_with_entries(seg, self.grid):
+            self._cells.setdefault((ix, iy), set()).add(eid)
 
     def ray_cast(self, origin: Point2, direction: tuple[float, float],
                  max_t: float, get_segment):
@@ -90,17 +63,3 @@ class EdgeGridIndex:
                     if best is None or cand < best:
                         best = cand
         return best
-
-    def check_coherent(self, segments: dict[int, Segment]) -> None:
-        """Validate the two-way mapping against a fresh trace (test hook)."""
-        assert set(self._edge_cells) == set(segments)
-        for eid, seg in segments.items():
-            want = [(ix, iy) for (_, ix, iy) in grid_trace_with_entries(seg, self.grid)]
-            assert self._edge_cells[eid] == want, f"edge {eid} cells stale"
-            for c in want:
-                assert eid in self._cells.get(c, ()), f"cell {c} missing edge {eid}"
-        for c, bucket in self._cells.items():
-            assert bucket, f"empty bucket {c} retained"
-            for eid in bucket:
-                assert c in self._edge_cells[eid], f"edge {eid} not tracking cell {c}"
-

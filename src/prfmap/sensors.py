@@ -17,8 +17,9 @@ Any observation model reports -inf when its sensor sits in occupied
 (black) space.  Laser beams are cast by :func:`cast_beams`, one numpy pass
 of beams x live edges in increasing edge id, wherever beams are evaluated
 (one beam or many).  A single sonar cone (:func:`sonar_features`, used by
-the simulator) is swept by :func:`visibility_sweep` over the edges the
-coloring's index holds near :meth:`Cone.bbox`.
+the simulator) is swept by :func:`visibility_sweep` over the edges whose
+box meets :meth:`Cone.bbox`, widened by ``_TOUCH_EPS``.  Both read the
+coloring's edge table.
 
 :class:`ObservationCache` binds a log's laser and sonar observations to a
 chain through one array-backed part per family (:class:`_LaserBeams`,
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .cone_sweep import (
     first_of_runs,
     math_map,
     pymin,
+    ray_hits,
     wedge_clip,
 )
 from .geometry import (
@@ -242,43 +243,29 @@ def beam_cap(col: Coloring, origin: Point2, direction: tuple[float, float],
 _CAST_BLOCK = 1 << 13
 
 
-def _live_edges(col: Coloring):
-    """Arrays ``(eids, ax, ay, bx, by)`` of the coloring's live edges in
-    increasing id: each edge's id and the coordinates of its two ends."""
-    eids = sorted(col.edges)
-    ends = chain.from_iterable(chain.from_iterable(col.segment_of(e) for e in eids))
-    ax, ay, bx, by = np.fromiter(ends, np.float64, 4 * len(eids)).reshape(-1, 4).T.copy()
-    return np.array(eids, dtype=np.int64), ax, ay, bx, by
-
-
 def cast_beams(col: Coloring, ox, oy, dx, dy, cap) -> tuple[np.ndarray, np.ndarray]:
     """First hit ``(t, eid)`` of each beam against the coloring's live edges.
 
     Beam k starts at ``(ox[k], oy[k])`` along the unit vector
     ``(dx[k], dy[k])`` and reaches ``cap[k]``.  Beams x edges are tested at
-    once with the operations of :func:`geometry.ray_segment_intersection`,
-    in its order, then ``t <= cap``.  Edges are taken in increasing id, and
-    the first minimum wins, so ties in t go to the smaller id.  A beam that
-    hits nothing gets ``t = cap`` and ``eid = -1``.
+    once by :func:`cone_sweep.ray_hits`, then ``t <= cap``.  Edges are
+    taken in increasing id, and the first minimum wins, so ties in t go to
+    the smaller id.  A beam that hits nothing gets ``t = cap`` and
+    ``eid = -1``.
     """
     ox, oy, dx, dy, cap = (np.asarray(v, dtype=np.float64) for v in (ox, oy, dx, dy, cap))
     t_hit = cap.copy()
     eid_hit = np.full(len(cap), -1, dtype=np.int64)
-    eids, ax, ay, bx, by = _live_edges(col)
+    eids, ax, ay, bx, by = col.live_edges()
     if not len(eids):
         return t_hit, eid_hit
-    ex, ey = bx - ax, by - ay
     step = max(1, _CAST_BLOCK // len(eids))
     for lo in range(0, len(cap), step):
         blk = slice(lo, lo + step)
-        bdx, bdy = dx[blk, None], dy[blk, None]
-        denom = bdx * ey - bdy * ex
-        sx, sy = ax - ox[blk, None], ay - oy[blk, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (sx * ey - sy * ex) / denom
-            u = (sx * bdy - sy * bdx) / denom
-        hit = ((denom != 0.0) & ~(t < 0.0) & ~(u < 0.0) & ~(u > 1.0)
-               & (t <= cap[blk, None]))
+            hit, t = ray_hits(ox[blk, None], oy[blk, None], dx[blk, None], dy[blk, None],
+                              ax, ay, bx, by)
+        hit &= t <= cap[blk, None]
         first = np.argmin(np.where(hit, t, np.inf), axis=1)
         rows = np.flatnonzero(hit[np.arange(len(first)), first])
         t_hit[lo + rows] = t[rows, first[rows]]
@@ -364,7 +351,7 @@ def sonar_features(o: SonarObs, col: Coloring,
     """Visible features in the cone with their return probabilities."""
     cone = sonar_cone(o)
     cands = [(eid, col.segment_of(eid))
-             for eid in sorted(col.index.edges_near_bbox(*cone.bbox()))]
+             for eid in col.edges_near_bbox(*cone.bbox(), pad=_TOUCH_EPS)]
     return return_probabilities(visibility_sweep(cands, cone), params)
 
 
@@ -596,7 +583,7 @@ class _SonarCones:
     features.  The batch takes the live edges whose box meets the cone's
     sector box at full range (``box``), widened by ``_TOUCH_EPS`` so that
     rounding never makes it smaller than the sector; the scalar path takes
-    the index's edges near :meth:`Cone.bbox`.
+    the edges whose box meets :meth:`Cone.bbox`, widened likewise.
 
     :meth:`touched` runs the wedge clip (:func:`_wedge_clip_distance`) on
     the pairs whose boxes meet.  A touching segment has a point in the wedge
@@ -664,12 +651,8 @@ class _SonarCones:
 
     def evaluate(self, idx: np.ndarray, col: Coloring) -> tuple[np.ndarray, np.ndarray]:
         """``(ll, ext)`` of the cones ``idx`` against the coloring's live edges."""
-        return self.evaluate_edges(idx, *_live_edges(col))
-
-    def evaluate_edges(self, idx, eids, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
-        """``(ll, ext)`` of the cones ``idx`` against the edges ``eids``
-        (increasing) from ``(ax, ay)`` to ``(bx, by)``."""
         idx = np.asarray(idx, dtype=np.int64)
+        eids, ax, ay, bx, by = col.live_edges()
         ll = self.ll_bare[idx]
         ext = self.max_range[idx]
         if not len(idx) or not len(eids):

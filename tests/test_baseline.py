@@ -1,6 +1,7 @@
 """Tests for the independent-cell log-odds occupancy grid."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -201,8 +202,8 @@ def reference_sonar_update(g, o, p):
     win, size = grid.window, grid.cell_size
     slack = w + math.sqrt(0.5) * size
     reach = o.range if o.is_max_range else o.range + slack
-    for ix, iy in grid.cells_in_bbox(o.x - reach, o.y - reach,
-                                     o.x + reach, o.y + reach):
+    ix0, ix1, iy0, iy1 = grid.index_spans(o.x - reach, o.y - reach, o.x + reach, o.y + reach)
+    for ix, iy in itertools.product(range(ix0, ix1 + 1), range(iy0, iy1 + 1)):
         x0 = win.xmin + ix * size
         y0 = win.ymin + iy * size
         cx = 0.5 * (x0 + (x0 + size)) - o.x

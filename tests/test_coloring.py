@@ -18,7 +18,17 @@ from prfmap.coloring import (
     changed_mask,
     point_changed,
 )
-from prfmap.geometry import Point2, Rect, Segment, boundary_point, shorter_arc_chain
+from prfmap.geometry import (
+    Point2,
+    Rect,
+    Segment,
+    boundary_point,
+    grid_trace_segment,
+    shorter_arc_chain,
+)
+from prfmap.moves import MoveParams
+from prfmap.prior import PriorParams
+from prfmap.sampler import Sampler, run_chain
 
 WIN = Rect(0.0, 0.0, 4.0, 3.0)
 
@@ -285,6 +295,29 @@ def test_json_rejects_unknown_kind():
         Coloring.from_json_obj(obj)
 
 
+def _square_map_obj():
+    """JSON of one square: interior vertices 0..3, edge k joins k and k+1."""
+    return Coloring.from_rectangles(WIN, [Rect(1.0, 1.0, 2.0, 2.0)]).to_json_obj()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda obj: obj["vertices"].append(dict(obj["vertices"][0])), "vertex 0: duplicate id"),
+    (lambda obj: obj["edges"].append(dict(obj["edges"][0])), "edge 0: duplicate id"),
+    (lambda obj: obj["edges"][0].update(vertices=[0, 7]), r"edge 0: unknown vertices \[7\]"),
+    (lambda obj: obj["vertices"][0].update(x=math.nan), "vertex 0: non-finite"),
+    (lambda obj: obj["anchor"].update(point=[math.inf, 1.0]), "anchor: non-finite"),
+    (lambda obj: obj["vertices"][0].update(x=5.0), "vertex 0 outside window"),
+    (lambda obj: obj["vertices"][0].update(x=0.0), "vertex 0 outside window"),
+    (lambda obj: obj["edges"].pop(0), "interior vertex 0 degree 1"),
+])
+def test_json_rejects_malformed_map(corrupt, message):
+    obj = _square_map_obj()
+    Coloring.from_json_obj(obj).validate()
+    corrupt(obj)
+    with pytest.raises(ValueError, match=message):
+        Coloring.from_json_obj(obj)
+
+
 def test_clone_is_independent():
     col = Coloring.empty(WIN)
     col.apply_edit(triangle_edit(2.0, 1.5, 0.6))
@@ -303,3 +336,96 @@ def test_co_occupant_edges_sorted_and_local():
         assert eid not in co
         # rectangle edges meet their neighbors in corner cells
         assert len(co) >= 2
+
+
+def _churned_colorings():
+    """Prior-only chains from three rectangles, cell size 0.3: edges have
+    been born, moved and removed, and ids run well past the live count."""
+    out = []
+    for seed in range(4):
+        col = Coloring.from_rectangles(
+            WIN, [Rect(2.0, 0.5, 2.2, 2.5), Rect(0.4, 0.3, 0.9, 0.8),
+                  Rect(2.8, 1.9, 3.6, 2.6)], cell_size=0.3)
+        run_chain(Sampler(col, PriorParams(intensity=3.0), MoveParams(),
+                          np.random.default_rng(200 + seed)), 600)
+        out.append(col)
+    # sides on cell boundaries: every side touches two rows or columns of cells
+    out.append(Coloring.from_rectangles(WIN, [Rect(1.0, 0.5, 2.5, 2.0),
+                                              Rect(3.0, 1.0, 3.5, 2.5)], cell_size=0.5))
+    return out
+
+
+@pytest.fixture(scope="module")
+def churned():
+    return _churned_colorings()
+
+
+def _random_segments(col, rng, n=40):
+    segs = []
+    for _ in range(n):
+        x0, x1 = rng.uniform(WIN.xmin, WIN.xmax, 2)
+        y0, y1 = rng.uniform(WIN.ymin, WIN.ymax, 2)
+        segs.append(Segment(Point2(x0, y0), Point2(x1, y1)))
+    # segments lying on cell boundaries
+    c = col.grid.cell_size
+    segs += [Segment(Point2(2 * c, 0.1), Point2(2 * c, 2.9)),
+             Segment(Point2(0.1, 3 * c), Point2(3.9, 3 * c))]
+    return segs
+
+
+def test_cell_co_occupancy_matches_all_pairs_trace(churned):
+    rng = np.random.default_rng(3)
+    for col in churned:
+        col.validate()
+        traces = {e: set(grid_trace_segment(col.segment_of(e), col.grid)) for e in col.edges}
+
+        def oracle(seg):
+            cells = set(grid_trace_segment(seg, col.grid))
+            return sorted(e for e, got in traces.items() if cells & got)
+
+        for eid in col.edges:
+            want = oracle(col.segment_of(eid))
+            assert col.edges_sharing_a_cell(col.segment_of(eid)) == want
+            want.remove(eid)
+            assert col.co_occupant_edges(eid) == want
+        for seg in _random_segments(col, rng):
+            assert col.edges_sharing_a_cell(seg) == oracle(seg)
+    assert max(max(c.edges) for c in churned) > 2 * max(c.n_edges for c in churned)
+
+
+def test_edges_near_bbox_matches_brute_force(churned):
+    rng = np.random.default_rng(4)
+    found = 0
+    for col in churned:
+        eids, ax, ay, bx, by = col.live_edges()
+        assert eids.tolist() == sorted(col.edges)
+        for k, eid in enumerate(eids.tolist()):
+            assert col.segment_of(eid) == ((ax[k], ay[k]), (bx[k], by[k]))
+        for k, seg in enumerate(_random_segments(col, rng)):
+            (x0, y0), (x1, y1) = seg
+            pad = 0.05 * (k % 2)
+
+            def meets(e):
+                (px, py), (qx, qy) = col.segment_of(e)
+                return (min(px, qx) <= max(x0, x1) + pad and max(px, qx) >= min(x0, x1) - pad
+                        and min(py, qy) <= max(y0, y1) + pad and max(py, qy) >= min(y0, y1) - pad)
+
+            want = [e for e in sorted(col.edges) if meets(e)]
+            got = col.edges_near_bbox(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1), pad=pad)
+            assert got == want
+            found += len(want)
+    assert found > 500
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda col: col._geom.__setitem__((1, 0), col._geom[1, 0] + 0.25), "row 1 stale"),
+    (lambda col: col._geom.__setitem__((2, 7), col._geom[2, 7] + 0.25), "row 2 stale"),
+    (lambda col: col._cells.__setitem__(3, frozenset()), "edge 3 cells stale"),
+    (lambda col: col._eid.__setitem__(0, 99), "row 0 stale"),
+])
+def test_validate_catches_stale_table_row(corrupt, message):
+    col = Coloring.from_rectangles(WIN, [Rect(1.0, 1.0, 2.0, 2.0)])
+    col.validate()
+    corrupt(col)
+    with pytest.raises(AssertionError, match=message):
+        col.validate()

@@ -425,13 +425,14 @@ def test_supercover_front_to_back_order():
     assert entries == sorted(entries)
 
 
-def test_cells_in_bbox_matches_bruteforce():
+def test_index_spans_match_bruteforce():
     grid = GridSpec(Rect(0.0, 0.0, 2.0, 1.5), 0.25)
     rng = random.Random(3)
     for _ in range(200):
         x0, x1 = sorted((rng.uniform(-0.3, 2.3), rng.uniform(-0.3, 2.3)))
         y0, y1 = sorted((rng.uniform(-0.3, 1.8), rng.uniform(-0.3, 1.8)))
-        got = set(grid.cells_in_bbox(x0, y0, x1, y1))
+        ix0, ix1, iy0, iy1 = grid.index_spans(x0, y0, x1, y1)
+        got = {(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)}
         want = set()
         for ix in range(grid.nx):
             for iy in range(grid.ny):

@@ -14,6 +14,7 @@ Oracles used here, written independently of the implementation:
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,6 +166,9 @@ def test_cast_beams_matches_ray_cast_and_brute_force():
     assert max(c.n_edges for c in colorings) >= 20
     cases = {"tie": 0, "cap_hit": 0, "cap_short": 0, "miss": 0}
     for col in colorings:
+        index = EdgeGridIndex(col.grid)
+        for eid in col.edges:
+            index.add(eid, col.segment_of(eid))
         beams = _awkward_beams(col, rng)
         for _ in range(200):
             o = Point2(*rng.uniform((0.05, 0.05), (3.95, 2.95)))
@@ -186,7 +190,7 @@ def test_cast_beams_matches_ray_cast_and_brute_force():
                                     [d[0] for d in dirs], [d[1] for d in dirs], caps)
         for k, (o, d, cap) in enumerate(zip(origins, dirs, caps)):
             want = _first_hit_brute_force(col, o, d, cap)
-            hit = col.index.ray_cast(o, d, cap, col.segment_of)
+            hit = index.ray_cast(o, d, cap, col.segment_of)
             assert (hit if hit is not None else (cap, None)) == want
             assert (float(got_t[k]), None if got_eid[k] < 0 else int(got_eid[k])) == want
             assert laser_true_distance(col, o, d, cap) == want
@@ -954,12 +958,16 @@ def _hex_pairs(ll, ext) -> list[tuple[str, str]]:
 
 
 def _batch_eval(sonars, edges, p):
-    """The batched ``(ll, ext)`` of each cone against ``(id, Segment)`` edges."""
+    """The batched ``(ll, ext)`` of each cone against ``(id, Segment)`` edges.
+
+    The edges need not form a valid coloring, so a stand-in for the
+    coloring's edge table serves them.
+    """
     edges = sorted(edges)
     eids = np.array([e for e, _ in edges], dtype=np.int64)
-    ax, ay, bx, by = np.array([s for _, s in edges], dtype=np.float64).reshape(-1, 4).T
-    return _SonarCones(sonars, p).evaluate_edges(np.arange(len(sonars)), eids,
-                                                 ax, ay, bx, by)
+    ends = np.array([s for _, s in edges], dtype=np.float64).reshape(-1, 4).T
+    table = SimpleNamespace(live_edges=lambda: (eids, *ends))
+    return _SonarCones(sonars, p).evaluate(np.arange(len(sonars)), table)
 
 
 def _sweep_eval(o, edges, p):
