@@ -105,10 +105,11 @@ def run_posterior_chain(log: ScanLog, cfg: RunConfig, chain_index: int,
     tracker = RasterTracker(col, grid)
     samp.listeners.append(tracker)
     acc = OccupancyAccumulator(grid)
+    traces: dict = {}
 
     def on_sample(s: Sampler, i: int) -> None:
         colors = tracker.colors
-        acc.add(colors.copy(), all_white_cells(col, grid, colors))
+        acc.add(colors.copy(), all_white_cells(col, grid, colors, traces))
 
     t0 = time.time()
     run_chain(samp, cfg.proposals, burn_in=cfg.burn_in,

@@ -9,8 +9,9 @@ Edits (the unit of change used by chain moves) are applied incrementally:
 cached edge/angle statistics, the edge table, and id sets are all updated in
 place, and a revert token restores the previous state exactly, including
 bit-identical cached statistics.
-The edge table's rows (each live edge's id, ends, box and supercover
-cells) serve the sensors' edge arrays, box queries and co-occupancy.
+The edge table's rows (each live edge's id, ends and box) serve the
+sensors' edge arrays and box queries; co-occupancy queries read supercover
+cells traced on demand and kept until their edge moves or goes.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ class RevertToken:
     removed_edge_records: list[tuple[int, int, int]]
     deleted_vertex_records: list[tuple[int, float, float, str]]
     moved_old: list[tuple[int, float, float]]
+    cells: dict[int, frozenset[tuple[int, int]]]  # traced cells of removed and moved edges
 
 
 @dataclass
@@ -175,7 +177,10 @@ class Coloring:
         # Table row i (arrays over-allocated) holds the id and geometry of
         # edge_ids' item i: ends (ax, ay, bx, by), then box (xmin, ymin,
         # -xmax, -ymax).  Rows are swap-removed as ids are, so they never
-        # outnumber the live edges.  Cells are keyed by id.
+        # outnumber the live edges.  Cells are keyed by id and traced only
+        # when a co-occupancy query reads them: moving or removing an edge
+        # drops its entry (a revert token keeps it to put back), so edits
+        # and reverts trace nothing.
         self._eid = np.empty(8, dtype=np.int64)
         self._geom = np.empty((8, 8))
         self._cells: dict[int, frozenset[tuple[int, int]]] = {}
@@ -267,7 +272,7 @@ class Coloring:
 
     def co_occupant_edges(self, eid: int) -> list[int]:
         """Edges sharing at least one grid cell with eid, sorted, excluding it."""
-        got = self._sharing(self.segment_of(eid), self._cells[eid])
+        got = self._sharing(self.segment_of(eid), self._cells_of(eid))
         got.remove(eid)
         return got
 
@@ -275,7 +280,14 @@ class Coloring:
         # Segments whose traces share a cell both meet its closed square, up
         # to rounding, so their boxes lie within one cell size of each other.
         near = self.edges_near_bbox(*_box_of(seg), pad=2.0 * self.grid.cell_size)
-        return [e for e in near if not cells.isdisjoint(self._cells[e])]
+        return [e for e in near if not cells.isdisjoint(self._cells_of(e))]
+
+    def _cells_of(self, eid: int) -> frozenset[tuple[int, int]]:
+        cells = self._cells.get(eid)
+        if cells is None:
+            cells = frozenset(grid_trace_segment(self.segment_of(eid), self.grid))
+            self._cells[eid] = cells
+        return cells
 
     # -- structural primitives (no stats bookkeeping) ---------------------
 
@@ -316,7 +328,7 @@ class Coloring:
         row, last = self.edge_ids.remove(eid), len(self.edge_ids)
         for a in (self._eid, self._geom):
             a[row] = a[last]  # the last row fills the gap, as in edge_ids
-        del self._cells[eid]
+        self._cells.pop(eid, None)
         return v1, v2
 
     def _move_vertex(self, vid: int, x: float, y: float) -> None:
@@ -326,12 +338,12 @@ class Coloring:
             self._store_row(self.edge_ids.position(eid), eid)
 
     def _store_row(self, row: int, eid: int) -> None:
-        """Write edge eid's id, ends, box and cells into table row ``row``."""
-        seg = self.segment_of(eid)
-        (ax, ay), (bx, by) = seg
+        """Write edge eid's id, ends and box into table row ``row``; its
+        cells, if traced, are dropped."""
+        (ax, ay), (bx, by) = self.segment_of(eid)
         self._eid[row] = eid
         self._geom[row] = ax, ay, bx, by, min(ax, bx), min(ay, by), -max(ax, bx), -max(ay, by)
-        self._cells[eid] = frozenset(grid_trace_segment(seg, self.grid))
+        self._cells.pop(eid, None)
 
     # -- statistics -------------------------------------------------------
 
@@ -380,7 +392,7 @@ class Coloring:
     def apply_edit(self, edit: Edit) -> ApplyResult:
         """Apply an edit; caller must have established validity first."""
         stats = self.stats
-        token = RevertToken(stats.copy(), self.anchor_color, [], [], [], [], [])
+        token = RevertToken(stats.copy(), self.anchor_color, [], [], [], [], [], {})
         delta: list[Segment] = []
 
         removed_set = set(edit.removed_edges)
@@ -418,6 +430,9 @@ class Coloring:
             stats.sum_log_length -= math.log(L)
 
         # structural changes
+        for eid in (*edit.removed_edges, *moved_incident):
+            if eid in self._cells:
+                token.cells[eid] = self._cells[eid]
         for eid in edit.removed_edges:
             delta.append(self.segment_of(eid))
             v1, v2 = self._remove_edge(eid)
@@ -487,6 +502,7 @@ class Coloring:
             self._move_vertex(vid, x, y)
         for eid, v1, v2 in token.removed_edge_records:
             self._add_edge(v1, v2, eid=eid)
+        self._cells.update(token.cells)
         self.stats = token.stats
         self.anchor_color = token.anchor_color
 
@@ -640,13 +656,14 @@ class Coloring:
                 if not shared:
                     assert not segments_properly_intersect(s1, self.segment_of(e2)), \
                         f"edges {e1} and {e2} cross"
-        assert self._cells.keys() == self.edges.keys()
         for row, eid in enumerate(self.edge_ids):
             seg = self.segment_of(eid)
             x0, y0, x1, y1 = _box_of(seg)
             assert [self._eid[row], *self._geom[row]] == \
                 [eid, *seg.a, *seg.b, x0, y0, -x1, -y1], f"table row {row} stale"
-            assert self._cells[eid] == frozenset(grid_trace_segment(seg, self.grid)), \
+        for eid, cells in self._cells.items():
+            assert eid in self.edges, f"cells cached for dead edge {eid}"
+            assert cells == frozenset(grid_trace_segment(self.segment_of(eid), self.grid)), \
                 f"edge {eid} cells stale"
 
     def semantically_equal(self, other: "Coloring") -> bool:

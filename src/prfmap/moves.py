@@ -336,11 +336,12 @@ def _recolor(col: Coloring, mp: MoveParams, kind: str, e1: int, e2: int,
         return None  # e2 cannot be drawn beside e1
     co2 = col.co_occupant_edges(e2)
     segs = [Segment(col.vertices[x].point, col.vertices[y].point) for x, y in added]
-    cells1, cells2 = (set(grid_trace_segment(f, col.grid)) for f in segs)
-    if not (cells1 & cells2):
+    cells = [frozenset(grid_trace_segment(f, col.grid)) for f in segs]
+    if cells[0].isdisjoint(cells[1]):
         return None  # the new pair would not co-occupy; reverse impossible
-    # co-occupant counts of the new edges once e1, e2 are gone, each other included
-    n1, n2 = (len(set(col.edges_sharing_a_cell(f)) - {e1, e2}) + 1 for f in segs)
+    # co-occupant counts of the new edges once e1, e2 are gone, each other
+    # included (edges_sharing_a_cell on the traces already in hand)
+    n1, n2 = (len(set(col._sharing(f, c)) - {e1, e2}) + 1 for f, c in zip(segs, cells))
     base = _log_pick(mp, kind, n) - math.log(2.0)
     return Proposal(kind, edit, base + math.log(1.0 / len(co1) + 1.0 / len(co2)),
                     base + math.log(1.0 / n1 + 1.0 / n2))

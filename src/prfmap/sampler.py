@@ -239,19 +239,35 @@ class RasterTracker:
 
 
 def all_white_cells(col: Coloring, grid: GridSpec,
-                    center_colors: np.ndarray | None = None) -> np.ndarray:
+                    center_colors: np.ndarray | None = None,
+                    traces: dict | None = None) -> np.ndarray:
     """Boolean raster: cell contains no edge and is colored white throughout.
 
     A cell with no edge through it is single-colored, so its center color
     decides; cells crossed by an edge are conservatively not all-white.
+
+    ``traces``, carried by the caller from one call to the next on the same
+    grid, keeps each live edge's segment and cells keyed by edge id: an
+    entry is traced again only when its edge's segment changed, and the
+    entries of dead ids are dropped.
     """
     if center_colors is None:
         px, py = cell_centers(grid)
         center_colors = col.colors_at(px.ravel(), py.ravel()).reshape(grid.ny, grid.nx)
     out = center_colors == 0
+    if traces is None:
+        traces = {}
+    for eid in traces.keys() - col.edges.keys():
+        del traces[eid]
     for eid in col.edges:
-        for ix, iy in grid_trace_segment(col.segment_of(eid), grid):
-            out[iy, ix] = False
+        seg = col.segment_of(eid)
+        hit = traces.get(eid)
+        if hit is None or hit[0] != seg:
+            cells = np.array(grid_trace_segment(seg, grid), dtype=np.intp).reshape(-1, 2)
+            traces[eid] = seg, cells
+    if traces:
+        ix, iy = np.concatenate([cells for _, cells in traces.values()]).T
+        out[iy, ix] = False
     return out
 
 

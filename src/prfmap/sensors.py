@@ -53,6 +53,7 @@ from .cone_sweep import (
     cone_features,
     first_of_runs,
     math_map,
+    pymax,
     pymin,
     ray_hits,
     wedge_clip,
@@ -61,6 +62,7 @@ from .geometry import (
     ZERO_WIDTH_FACE_TOL,
     Cone,
     Point2,
+    Rect,
     Segment,
     VisibleFeature,
     grid_trace_segment,  # noqa: F401  (unused; perfbench/layers.py patches this name)
@@ -235,6 +237,19 @@ def beam_cap(col: Coloring, origin: Point2, direction: tuple[float, float],
     The window boundary itself is a viewing frame, not an obstacle.
     """
     return min(ray_rect_exit(origin, direction, col.window), max_range)
+
+
+def beam_caps(window: Rect, sx, sy, dirx, diry, max_range) -> np.ndarray:
+    """:func:`beam_cap` of many beams at once, bit for bit: the divisions of
+    :func:`ray_rect_exit` as numpy passes, with Python's ``min``/``max``
+    picks (so a beam leaving from the window edge keeps its signed zero)."""
+    t = np.full(len(sx), math.inf)
+    for d, s, lo, hi in ((dirx, sx, window.xmin, window.xmax),
+                         (diry, sy, window.ymin, window.ymax)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = (np.where(d > 0.0, hi, lo) - s) / d
+        t = pymin(t, np.where(d != 0.0, reach, math.inf))
+    return pymin(pymax(t, 0.0), max_range)
 
 
 # Beams x edges pairs per numpy pass of cast_beams.  A pass holds about a
@@ -525,11 +540,11 @@ class _LaserBeams:
         self.reading = np.array([o.range for o in lasers], dtype=np.float64)
         self.flagged = np.array([o.is_max_range for o in lasers], dtype=bool)
         self.max_range = np.array([o.max_range for o in lasers], dtype=np.float64)
-        self.dirx, self.diry, self.cap = np.zeros(n), np.zeros(n), np.zeros(n)
-        for i, o in enumerate(lasers):
-            direction = beam_direction(o.heading, o.bearing)
-            self.dirx[i], self.diry[i] = direction
-            self.cap[i] = beam_cap(col, Point2(o.x, o.y), direction, o.max_range)
+        # beam_direction and beam_cap of every beam
+        angle = np.array([o.heading + o.bearing for o in lasers], dtype=np.float64)
+        self.dirx, self.diry = math_map(math.cos, angle), math_map(math.sin, angle)
+        self.cap = beam_caps(col.window, self.sx, self.sy, self.dirx, self.diry,
+                             self.max_range)
         self.ll = np.zeros(n)
         self.impact_x, self.impact_y = np.zeros(n), np.zeros(n)
         self.touch_box = np.zeros((4, n))

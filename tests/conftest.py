@@ -1,4 +1,5 @@
-"""Shared fixtures: the rooms scan log and a recorder of likelihood deltas."""
+"""Shared fixtures: the rooms and corridor scan logs and a recorder of
+likelihood deltas."""
 
 import dataclasses
 import hashlib
@@ -16,6 +17,15 @@ def rooms_log(tmp_path_factory):
     """The rooms world's sonar log for sim seed 0, simulated once per session."""
     cfg = dataclasses.replace(RunConfig(), world="rooms", sim_seed=0)
     prefix = str(tmp_path_factory.mktemp("rooms") / "rooms")
+    assert cmd_simulate(cfg, prefix) == 0
+    return read_scanlog(prefix + ".log")
+
+
+@pytest.fixture(scope="session")
+def corridor_log(tmp_path_factory):
+    """The corridor world's laser log for sim seed 0, simulated once per session."""
+    cfg = dataclasses.replace(RunConfig(), world="corridor", sim_seed=0)
+    prefix = str(tmp_path_factory.mktemp("corridor") / "corridor")
     assert cmd_simulate(cfg, prefix) == 0
     return read_scanlog(prefix + ".log")
 

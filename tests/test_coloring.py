@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prfmap.coloring
 from prfmap.coloring import (
     BLACK,
     BOUNDARY,
@@ -26,7 +27,7 @@ from prfmap.geometry import (
     grid_trace_segment,
     shorter_arc_chain,
 )
-from prfmap.moves import MoveParams
+from prfmap.moves import MoveParams, propose
 from prfmap.prior import PriorParams
 from prfmap.sampler import Sampler, run_chain
 
@@ -393,6 +394,61 @@ def test_cell_co_occupancy_matches_all_pairs_trace(churned):
     assert max(max(c.edges) for c in churned) > 2 * max(c.n_edges for c in churned)
 
 
+def test_cells_are_traced_on_demand_only(monkeypatch):
+    """Chains that mix co-occupancy queries, applied edits and reverts: every
+    answer equals the all-pairs trace oracle, validate() passes after each
+    step, neither apply_edit nor revert traces a cell, and a revert puts
+    back the cells the edit dropped."""
+    calls = []
+    trace = prfmap.coloring.grid_trace_segment
+    monkeypatch.setattr(prfmap.coloring, "grid_trace_segment",
+                        lambda seg, grid: calls.append(seg) or trace(seg, grid))
+
+    def check_queries(col, rng):
+        cells = {e: set(grid_trace_segment(col.segment_of(e), col.grid)) for e in col.edges}
+
+        def oracle(seg):
+            mine = set(grid_trace_segment(seg, col.grid))
+            return sorted(e for e, got in cells.items() if mine & got)
+
+        for eid in sorted(col.edges):
+            if rng.random() < 0.5:
+                want = oracle(col.segment_of(eid))
+                want.remove(eid)
+                assert col.co_occupant_edges(eid) == want
+        for seg in _random_segments(col, rng, n=1):
+            assert col.edges_sharing_a_cell(seg) == oracle(seg)
+        col.validate()
+
+    def untraced(action):
+        before = len(calls)
+        out = action()
+        assert len(calls) == before
+        return out
+
+    kept = reverted = 0
+    for seed in range(3):
+        rng = np.random.default_rng(300 + seed)
+        col = Coloring.from_rectangles(WIN, [Rect(2.0, 0.5, 2.2, 2.5), Rect(0.4, 0.3, 0.9, 0.8)],
+                                       cell_size=0.3)
+        for _ in range(120):
+            check_queries(col, rng)
+            prop = propose(col, rng, MoveParams())
+            if prop is None or not col.edit_is_valid(prop.edit):
+                continue
+            cached = dict(col._cells)
+            result = untraced(lambda: col.apply_edit(prop.edit))
+            check_queries(col, rng)
+            if col.n_edges > 24 or rng.random() < 0.5:
+                untraced(lambda: col.revert(result.token))
+                assert cached.items() <= col._cells.items()
+                reverted += 1
+            else:
+                kept += 1
+    assert kept >= 40 and reverted >= 40, (kept, reverted)
+    assert len(calls) > 1000
+
+
 def test_edges_near_bbox_matches_brute_force(churned):
     rng = np.random.default_rng(4)
     found = 0
@@ -422,6 +478,7 @@ def test_edges_near_bbox_matches_brute_force(churned):
     (lambda col: col._geom.__setitem__((2, 7), col._geom[2, 7] + 0.25), "row 2 stale"),
     (lambda col: col._cells.__setitem__(3, frozenset()), "edge 3 cells stale"),
     (lambda col: col._eid.__setitem__(0, 99), "row 0 stale"),
+    (lambda col: col._cells.__setitem__(99, frozenset()), "cells cached for dead edge 99"),
 ])
 def test_validate_catches_stale_table_row(corrupt, message):
     col = Coloring.from_rectangles(WIN, [Rect(1.0, 1.0, 2.0, 2.0)])

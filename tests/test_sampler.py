@@ -9,7 +9,7 @@ import numpy as np
 from prfmap.cli import cmd_simulate, likelihood_for_log, main, run_posterior_chain
 from prfmap.coloring import Coloring
 from prfmap.config import RunConfig
-from prfmap.geometry import GridSpec, Rect
+from prfmap.geometry import GridSpec, Rect, cell_centers
 from prfmap.moves import MoveParams
 from prfmap.prior import (PriorParams, expected_edge_count_unit_square,
                           log_prior_from_stats)
@@ -321,3 +321,44 @@ def test_all_white_cells_against_geometry():
     # empty coloring: everything all-white
     empty = Coloring.empty(win)
     assert all_white_cells(empty, grid).all()
+
+
+def test_all_white_cells_with_carried_traces_equals_a_fresh_call():
+    # A prior chain checked at every proposal, after the edit is applied and
+    # again after the step: moved edges keep their ids with new segments and
+    # get them back on revert, and removed edges come back on revert.
+    win = Rect(0.0, 0.0, 4.0, 3.0)
+    grid = GridSpec(win, 0.05)
+    traces: dict = {}
+    seen = {"moved": 0, "removed": 0}
+
+    def check(col):
+        colors = col.colors_at(*(c.ravel() for c in cell_centers(grid))).reshape(grid.ny, grid.nx)
+        got = all_white_cells(col, grid, colors, traces)
+        np.testing.assert_array_equal(got, all_white_cells(col, grid, colors))
+        assert traces.keys() == col.edges.keys()
+
+    class Checker:
+        def log_likelihood(self):
+            return 0.0
+
+        def delta_for_edit(self, col, result):
+            check(col)
+            self.edit = result.token
+            return 0.0
+
+        def commit(self):
+            pass
+
+        def rollback(self):
+            seen["moved"] += bool(self.edit.moved_old)
+            seen["removed"] += bool(self.edit.removed_edge_records)
+
+    col = Coloring.from_rectangles(win, [Rect(2.0, 0.5, 2.2, 2.5), Rect(0.4, 0.3, 0.9, 0.8)],
+                                   cell_size=0.3)
+    s = Sampler(col, PriorParams(intensity=3.0), MoveParams(), np.random.default_rng(7),
+                likelihood=Checker())
+    for _ in range(400):
+        s.step()
+        check(col)
+    assert s.stats.accepted >= 50 and min(seen.values()) >= 20, (s.stats, seen)

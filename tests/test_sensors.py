@@ -40,7 +40,7 @@ from prfmap.sensors import (_TOUCH_EPS, CompositeLikelihood, LaserObs,
                             _seg_batch_min_dist, _sonar_density_log, _sonar_eval,
                             _LaserBeams, _SonarCones, _sweep_contact_radius_points,
                             _wedge_clip_distance,
-                            ObservationCache, beam_cap, cast_beams,
+                            ObservationCache, beam_cap, beam_caps, cast_beams,
                             PointColorLikelihood, PointColorObs, SonarObs,
                             SonarParams, beam_direction, laser_log_likelihood,
                             laser_true_distance, return_probabilities,
@@ -199,6 +199,41 @@ def test_cast_beams_matches_ray_cast_and_brute_force():
                 o, d, col.segment_of(e)) == want[0]]
             cases["tie"] += want[1] is not None and len(ties) > 1
     assert all(n >= 20 for n in cases.values()), cases
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_batched_beam_caps_match_the_scalar_bit_for_bit(corridor_log):
+    lasers = corridor_log.lasers
+    assert len(lasers) == 5_400
+    col = Coloring.empty(corridor_log.window)
+    beams = _LaserBeams(lasers, col, LaserParams())
+    dirs = [beam_direction(o.heading, o.bearing) for o in lasers]
+    assert _hexes(beams.dirx) == _hexes(d[0] for d in dirs)
+    assert _hexes(beams.diry) == _hexes(d[1] for d in dirs)
+    assert _hexes(beams.cap) == _hexes(beam_cap(col, Point2(o.x, o.y), d, o.max_range)
+                                       for o, d in zip(lasers, dirs))
+    # Exact axis directions (dx or dy zero, either sign), sensors on the
+    # window edge (a zero exit, whose sign Python's max keeps), and caps at
+    # or below the window exit.
+    cases = [((1.0, 1.0), (0.0, 1.0), 8.0), ((1.0, 1.0), (-1.0, 0.0), 8.0),
+             ((1.0, 1.0), (0.0, -1.0), 8.0), ((1.0, 1.0), (1.0, -0.0), 8.0),
+             ((1.0, 1.0), (-0.0, 1.0), 8.0), ((0.0, 1.0), (-0.6, 0.8), 8.0),
+             ((0.0, 1.0), (-1.0, 0.0), 8.0), ((4.0, 1.0), (1.0, 0.0), 8.0),
+             ((4.0, 1.0), (0.6, 0.8), 8.0), ((2.0, 3.0), (0.6, 0.8), 8.0),
+             ((2.0, 0.0), (0.0, -1.0), 8.0), ((0.0, 1.0), (0.6, 0.8), 8.0),
+             ((1.0, 1.0), (0.6, 0.8), 0.5), ((1.0, 1.0), (1.0, 0.0), 3.0),
+             ((1.0, 1.0), (1.0, 0.0), 2.5), ((0.0, 1.0), (-0.6, 0.8), 0.0)]
+    sx, sy, dx, dy, max_range = (np.array(v) for v in zip(*(
+        (*p, *d, m) for p, d, m in cases)))
+    got = beam_caps(WINDOW, sx, sy, dx, dy, max_range)
+    empty = Coloring.empty(WINDOW)
+    want = [beam_cap(empty, Point2(*p), d, m) for p, d, m in cases]
+    assert _hexes(got) == _hexes(want)
+    assert _hexes(want[5:7]) == ["-0x0.0p+0"] * 2 and want[7] == 0.0
+    assert want[12:15] == [0.5, 3.0, 2.5]
 
 
 def test_laser_density_normalizes():
