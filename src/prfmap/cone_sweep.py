@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import EPS_GEOM, ZERO_WIDTH_FACE_TOL
+from .geometry import EPS_GEOM, ZERO_WIDTH_FACE_TOL, expand_counts, pymax, pymin
 
 
 def math_map(f, *args) -> np.ndarray:
@@ -29,24 +29,8 @@ def math_map(f, *args) -> np.ndarray:
                        np.float64, len(args[0]))
 
 
-def pymax(a, b):
-    """Python's ``max(a, b)``: ``b`` only where ``b > a``."""
-    return np.where(b > a, b, a)
-
-
-def pymin(a, b):
-    """Python's ``min(a, b)``: ``b`` only where ``b < a``."""
-    return np.where(b < a, b, a)
-
-
 def _clamp(v, lo, hi):
     return pymin(hi, pymax(lo, v))
-
-
-def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(row, k)`` for every ``k < counts[row]``, row by row."""
-    row = np.repeat(np.arange(len(counts)), counts)
-    return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
 def first_of_runs(*keys) -> np.ndarray:
@@ -214,7 +198,7 @@ def _runs(g: ConeRows, e: EdgePairs, lo, hi) -> tuple[EdgePairs, np.ndarray, np.
     # interval i runs from event i to i + 1 of the same cone; clipped edge j
     # is active (lo <= th0 < hi) on those from its lo up to its hi
     e_lo, e_hi = place[2 * m::2], place[2 * m + 1::2]
-    tj, tk = _expand(e_hi - e_lo)
+    tj, tk = expand_counts(e_hi - e_lo)
     ti = e_lo[tj] + tk
     # the nearest hit at each interval's midpoint; ties in t go to the smaller id
     need = np.zeros(len(ev_a), dtype=bool)
@@ -289,7 +273,7 @@ def _corners(g: ConeRows, e: EdgePairs):
     vc, vs, dx, dy, d, alpha = vc[k], vs[k], dx[k], dy[k], d[k], alpha[k]
     # occluded when its sight line meets any candidate edge of the cone short of it
     n = np.bincount(e.c, minlength=len(g.cx))
-    qi, qk = _expand(n[vc])
+    qi, qk = expand_counts(n[vc])
     q = (np.cumsum(n) - n)[vc[qi]] + qk
     hit, t = ray_hits(g.cx[vc[qi]], g.cy[vc[qi]], (dx / d)[qi], (dy / d)[qi],
                       e.ax[q], e.ay[q], e.bx[q], e.by[q])

@@ -263,6 +263,24 @@ def sin_angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
     return min(1.0, s)
 
 
+def pymax(a, b):
+    """Python's ``max(a, b)`` elementwise: ``b`` only where ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def pymin(a, b):
+    """Python's ``min(a, b)`` elementwise: ``b`` only where ``b < a``."""
+    return np.where(b < a, b, a)
+
+
+def expand_counts(counts: np.ndarray, first=0) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, first[row] + k)`` for every ``k < counts[row]``, row by row."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(row))
+    k -= (np.cumsum(counts) - counts - first)[row]
+    return row, k
+
+
 def _slab(lo: float, hi: float, p0: float, d: float) -> tuple[float, float]:
     """Unclamped parameter interval on which p0 + t * d lies in [lo, hi].
 
@@ -374,6 +392,121 @@ def grid_trace_with_entries(seg: Segment, grid: GridSpec) -> list[tuple[float, i
             cells.append((e0 if e0 <= e1 else t0, ix, iy))
     cells.sort()
     return cells
+
+
+def _slabs(lo, hi, p0, d) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_slab` elementwise."""
+    with np.errstate(all="ignore"):    # inf as in Python; nan at d == 0, replaced below
+        ta = np.subtract(lo, p0)
+        ta /= d
+        tb = np.subtract(hi, p0)
+        tb /= d
+    swap = ta > tb
+    a = np.where(swap, tb, ta)
+    np.copyto(tb, ta, where=swap)
+    del ta, swap
+    flat = d == 0.0
+    if flat.any():
+        out = flat & ~((lo <= p0) & (p0 <= hi))
+        a[flat], tb[flat] = -math.inf, math.inf
+        a[out], tb[out] = math.inf, -math.inf
+    return a, tb
+
+
+def _index_ranges(lo, hi, origin: float, cell: float, n: int):
+    """:func:`_index_range` elementwise.  An empty span stays empty; its
+    ends are clipped to ``[0, n]`` and ``[-1, n - 1]``."""
+    tlo = (lo - origin) / cell
+    i0 = np.floor(tlo)
+    i0 -= tlo == i0
+    i1 = np.floor((hi - origin) / cell)
+    return np.clip(i0, 0, n).astype(np.intp), np.clip(i1, -1, n - 1).astype(np.intp)
+
+
+def grid_trace_many(ax, ay, bx, by, grid: GridSpec):
+    """:func:`grid_trace_with_entries` of many segments at once, bit for bit.
+
+    Segment k runs from ``(ax[k], ay[k])`` to ``(bx[k], by[k])``.  Returns
+    the arrays ``(seg, ix, iy, entry)`` of every traced cell, sorted by
+    ``(seg, entry, ix, iy)``, so segment k's rows are its trace in order.
+    The scalar trace's stages run as numpy passes: the window clip and the
+    column spans over segments, the column slabs and row spans over
+    columns, the row slabs and entries over cells.  Each keeps the scalar
+    float operations in their order, and Python's ``max``/``min`` picks
+    (:func:`pymax`, :func:`pymin`), so even the sign of a zero matches.
+    Temporaries are dropped or overwritten as soon as they are used: a
+    call peaks at about 110 bytes per traced cell.
+    """
+    win, cell = grid.window, grid.cell_size
+    ax, ay, bx, by = (np.asarray(v, dtype=np.float64) for v in (ax, ay, bx, by))
+    dx, dy = bx - ax, by - ay
+    xa, xb = _slabs(win.xmin, win.xmax, ax, dx)
+    ya, yb = _slabs(win.ymin, win.ymax, ay, dy)
+    t0 = pymax(pymax(0.0, xa), ya)
+    t1 = pymin(pymin(1.0, xb), yb)
+    seg = np.flatnonzero(t0 <= t1)
+    ax, ay, dx, dy, t0, t1 = (v[seg] for v in (ax, ay, dx, dy, t0, t1))
+    px0, px1 = ax + t0 * dx, ax + t1 * dx
+    py0, py1 = ay + t0 * dy, ay + t1 * dy
+    ix0, ix1 = _index_ranges(pymin(px0, px1), pymax(px0, px1), win.xmin, cell, grid.nx)
+
+    # Columns: c is the segment of each, ix its index.
+    c, ix = expand_counts(np.maximum(ix1 - ix0 + 1, 0), ix0)
+    lo = win.xmin + ix * cell
+    ua, ub = _slabs(lo, lo + cell, ax[c], dx[c])
+    del lo
+    cx0, cx1 = pymax(0.0, ua), pymin(1.0, ub)
+    # ua = pymax(ua, t0) and ub = pymin(ub, t1), in place
+    tc = t0[c]
+    np.copyto(ua, tc, where=tc > ua)
+    tc = t1[c]
+    np.copyto(ub, tc, where=tc < ub)
+    del tc
+    upright = dx[c] == 0.0
+    keep = upright | ~(ua > ub)
+    # ya = ay + ua * dy and yb = ay + ub * dy, in place; upright columns
+    # (inf * 0.0 here) take the clipped segment's span instead.
+    with np.errstate(invalid="ignore"):
+        for v in (ua, ub):
+            v *= dy[c]
+            v += ay[c]
+    swap = ua > ub
+    ylo = np.where(swap, ub, ua)
+    np.copyto(ub, ua, where=swap)
+    yhi = ub
+    del ua, ub, swap
+    cu = c[upright]
+    ylo[upright] = pymin(py0, py1)[cu]
+    yhi[upright] = pymax(py0, py1)[cu]
+    del cu, upright
+    if not keep.all():
+        c, ix, cx0, cx1, ylo, yhi = (v[keep] for v in (c, ix, cx0, cx1, ylo, yhi))
+    del keep
+    iy0, iy1 = _index_ranges(ylo, yhi, win.ymin, cell, grid.ny)
+    del ylo, yhi
+
+    # Cells: r is the column of each, s its segment, iy its row.
+    r, iy = expand_counts(np.maximum(iy1 - iy0 + 1, 0), iy0)
+    del iy0, iy1
+    s = c[r]
+    lo = win.ymin + iy * cell
+    e0, e1 = _slabs(lo, lo + cell, ay[s], dy[s])
+    del lo
+    # e0 = pymax(cx0, e0), e1 = pymin(cx1, e1), then the entry: e0 if
+    # e0 <= e1 else t0, all in place
+    cr = cx0[r]
+    np.copyto(e0, cr, where=~(e0 > cr))
+    cr = cx1[r]
+    np.copyto(e1, cr, where=~(e1 < cr))
+    del cr
+    np.copyto(e0, t0[s], where=~(e0 <= e1))
+    del e1
+    seg, ix = seg[s], ix[r]
+    del r, s
+    # Cells come by segment, then column, then row: sorting by (segment,
+    # entry), stably, leaves ties in (ix, iy) order.
+    order = np.lexsort((e0, seg))
+    return seg[order], ix[order], iy[order], e0[order]
 
 
 def ray_segment_intersection(origin: Point2, direction: tuple[float, float],

@@ -53,8 +53,6 @@ from .cone_sweep import (
     cone_features,
     first_of_runs,
     math_map,
-    pymax,
-    pymin,
     ray_hits,
     wedge_clip,
 )
@@ -67,6 +65,8 @@ from .geometry import (
     VisibleFeature,
     grid_trace_segment,  # noqa: F401  (unused; perfbench/layers.py patches this name)
     point_segment_distance_batch,
+    pymax,
+    pymin,
     ray_rect_exit,
     unit_vector,
     visibility_sweep,
@@ -228,6 +228,13 @@ def _gauss_pdf(x: float, mu: float, sigma: float) -> float:
 
 def beam_direction(heading: float, bearing: float) -> tuple[float, float]:
     return unit_vector(heading + bearing)
+
+
+def beam_directions(angle) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`beam_direction` of many beams at once, bit for bit: ``math.cos``
+    and ``math.sin`` of each beam's ``heading + bearing``."""
+    angle = np.asarray(angle, dtype=np.float64)
+    return math_map(math.cos, angle), math_map(math.sin, angle)
 
 
 def beam_cap(col: Coloring, origin: Point2, direction: tuple[float, float],
@@ -540,9 +547,7 @@ class _LaserBeams:
         self.reading = np.array([o.range for o in lasers], dtype=np.float64)
         self.flagged = np.array([o.is_max_range for o in lasers], dtype=bool)
         self.max_range = np.array([o.max_range for o in lasers], dtype=np.float64)
-        # beam_direction and beam_cap of every beam
-        angle = np.array([o.heading + o.bearing for o in lasers], dtype=np.float64)
-        self.dirx, self.diry = math_map(math.cos, angle), math_map(math.sin, angle)
+        self.dirx, self.diry = beam_directions([o.heading + o.bearing for o in lasers])
         self.cap = beam_caps(col.window, self.sx, self.sy, self.dirx, self.diry,
                              self.max_range)
         self.ll = np.zeros(n)

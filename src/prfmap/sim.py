@@ -22,8 +22,9 @@ from .sensors import (
     PointColorObs,
     SonarObs,
     SonarParams,
-    beam_cap,
+    beam_caps,
     beam_direction,
+    beam_directions,
     cast_beams,
     laser_true_distance,
     sonar_features,
@@ -215,13 +216,12 @@ def simulate_laser_scan(col: Coloring, x: float, y: float, heading: float,
     """One reading per bearing; the beams are cast in one ``cast_beams`` pass
     and the readings drawn in bearing order, as ``simulate_laser_beam``
     would draw them one beam at a time."""
-    origin = _free_pose(col, x, y, "laser")
+    _free_pose(col, x, y, "laser")
     bearings = spec.bearings()
-    dirs = [beam_direction(heading, b) for b in bearings]
-    caps = [beam_cap(col, origin, u, spec.max_range) for u in dirs]
-    n = len(dirs)
-    d_star, _ = cast_beams(col, [x] * n, [y] * n, [u[0] for u in dirs],
-                           [u[1] for u in dirs], caps)
+    sx, sy = (np.full(len(bearings), v, dtype=np.float64) for v in (x, y))
+    dirx, diry = beam_directions(heading + bearings)
+    caps = beam_caps(col.window, sx, sy, dirx, diry, spec.max_range)
+    d_star, _ = cast_beams(col, sx, sy, dirx, diry, caps)
     return [_draw_laser_obs(x, y, heading, b, d, spec, params, rng)
             for b, d in zip(bearings, d_star.tolist())]
 

@@ -1,11 +1,13 @@
 """Tests for the independent-cell log-odds occupancy grid."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
 
 import numpy as np
 
+import prfmap.baseline
 from prfmap.baseline import (
     BaselineParams,
     OccupancyGrid,
@@ -13,11 +15,11 @@ from prfmap.baseline import (
     grid_update_laser,
     grid_update_sonar,
 )
-from prfmap.cli import main
+from prfmap.cli import cmd_simulate, main
 from prfmap.config import RunConfig
-from prfmap.geometry import GridSpec, Rect, unit_vector
+from prfmap.geometry import GridSpec, Point2, Rect, Segment, grid_trace_segment, unit_vector
 from prfmap.scanlog import read_scanlog
-from prfmap.sensors import LaserObs, SonarObs
+from prfmap.sensors import LaserObs, SonarObs, beam_direction
 
 
 def grid_4x3() -> GridSpec:
@@ -35,7 +37,7 @@ def test_laser_frees_traversed_cells_and_occupies_impact_cell():
     # Beam east from (0.5, 1.5), reading 1.9: crosses cells (0..2, 1),
     # impact at x = 2.4 falls in cell (2, 1).
     obs = LaserObs(0.5, 1.5, 0.0, 0.0, 1.9, 8.0, False)
-    grid_update_laser(g, obs)
+    grid_update_laser(g, [obs])
     p = BaselineParams()
     assert g.logodds[1, 0] == -p.laser_free
     assert g.logodds[1, 1] == -p.laser_free
@@ -47,7 +49,7 @@ def test_laser_frees_traversed_cells_and_occupies_impact_cell():
 def test_max_range_laser_frees_every_cell_it_crosses():
     g = OccupancyGrid(grid_4x3())
     obs = LaserObs(0.5, 1.5, 0.0, 0.0, 3.4, 8.0, True)
-    grid_update_laser(g, obs)
+    grid_update_laser(g, [obs])
     p = BaselineParams()
     assert np.all(g.logodds[1, :] == -p.laser_free)
 
@@ -56,7 +58,7 @@ def test_updates_are_additive():
     g = OccupancyGrid(grid_4x3())
     obs = LaserObs(0.5, 1.5, 0.0, 0.0, 1.9, 8.0, False)
     for _ in range(3):
-        grid_update_laser(g, obs)
+        grid_update_laser(g, [obs])
     p = BaselineParams()
     assert g.logodds[1, 2] == 3 * p.laser_occupied
     assert g.logodds[1, 0] == -3 * p.laser_free
@@ -120,7 +122,7 @@ def test_sonar_respects_heading_plus_bearing():
 def test_custom_params_scale_increments():
     g = OccupancyGrid(grid_4x3())
     params = BaselineParams(laser_occupied=1.0, laser_free=0.2)
-    grid_update_laser(g, LaserObs(0.5, 1.5, 0.0, 0.0, 1.9, 8.0, False), params)
+    grid_update_laser(g, [LaserObs(0.5, 1.5, 0.0, 0.0, 1.9, 8.0, False)], params)
     assert g.logodds[1, 2] == 1.0
     assert g.logodds[1, 0] == -0.2
 
@@ -128,7 +130,7 @@ def test_custom_params_scale_increments():
 def test_beam_leaving_the_window_is_clipped():
     g = OccupancyGrid(grid_4x3())
     # Beam pointing west exits the window after cell (0, 1).
-    grid_update_laser(g, LaserObs(0.5, 1.5, math.pi, 0.0, 5.0, 8.0, True))
+    grid_update_laser(g, [LaserObs(0.5, 1.5, math.pi, 0.0, 5.0, 8.0, True)])
     assert g.logodds[1, 0] == -BaselineParams().laser_free
     assert np.count_nonzero(g.logodds) == 1
 
@@ -137,7 +139,7 @@ def test_impact_outside_the_window_frees_every_traversed_cell():
     g = OccupancyGrid(grid_4x3())
     # Beam pointing west, reading 2.0: the impact at x = -1.5 lies outside
     # the window, so no traversed cell holds it and cell (0, 1) is freed.
-    grid_update_laser(g, LaserObs(0.5, 1.5, math.pi, 0.0, 2.0, 8.0, False))
+    grid_update_laser(g, [LaserObs(0.5, 1.5, math.pi, 0.0, 2.0, 8.0, False)])
     assert g.logodds[1, 0] == -BaselineParams().laser_free
     assert np.count_nonzero(g.logodds) == 1
 
@@ -145,7 +147,7 @@ def test_impact_outside_the_window_frees_every_traversed_cell():
 def test_impact_on_the_window_boundary_is_occupied():
     g = OccupancyGrid(grid_4x3())
     # The impact at x = 4.0 lies on the closed window's edge, in cell (3, 1).
-    grid_update_laser(g, LaserObs(0.5, 1.5, 0.0, 0.0, 3.5, 8.0, False))
+    grid_update_laser(g, [LaserObs(0.5, 1.5, 0.0, 0.0, 3.5, 8.0, False)])
     p = BaselineParams()
     assert np.all(g.logodds[1, :3] == -p.laser_free)
     assert g.logodds[1, 3] == p.laser_occupied
@@ -185,6 +187,96 @@ def test_sonar_arc_matches_brute_force_band_overlap():
                     assert got == p.sonar_occupied
                 elif ds.min() > hi + 5e-3 or ds.max() < lo - 5e-3:
                     assert got == (-p.sonar_free if d < lo else 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the laser update against its scalar definition
+
+
+def reference_laser_update(g, o, p):
+    """The laser update one beam at a time: its supercover trace, each cell
+    freed, then the last one marked when the impact lies in the window."""
+    origin = Point2(o.x, o.y)
+    ux, uy = beam_direction(o.heading, o.bearing)
+    end = Point2(o.x + o.range * ux, o.y + o.range * uy)
+    cells = grid_trace_segment(Segment(origin, end), g.grid)
+    if not cells:
+        return
+    win = g.grid.window
+    if (o.is_max_range or not win.xmin <= end.x <= win.xmax
+            or not win.ymin <= end.y <= win.ymax):
+        for ix, iy in cells:
+            g.logodds[iy, ix] -= p.laser_free
+        return
+    for ix, iy in cells[:-1]:
+        g.logodds[iy, ix] -= p.laser_free
+    ix, iy = cells[-1]
+    g.logodds[iy, ix] += p.laser_occupied
+
+
+def random_beams(rng, grid, n):
+    """Beams from in and around the window: some max-range, some along an
+    axis, some of the least positive range (a zero-length trace), some
+    ending on the window's edge."""
+    win, size = grid.window, grid.cell_size
+    for _ in range(n):
+        x = rng.uniform(win.xmin - 1.0, win.xmax + 1.0)
+        y = rng.uniform(win.ymin - 1.0, win.ymax + 1.0)
+        if rng.random() < 0.25:
+            x = win.xmin + int(rng.integers(grid.nx + 1)) * size
+        heading, bearing = rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0)
+        if rng.random() < 0.25:
+            heading, bearing = int(rng.integers(-1, 3)) * (math.pi / 2), 0.0
+        max_range = 5.0
+        r = rng.uniform(0.0, max_range)
+        kind = rng.random()
+        if kind < 0.1:
+            r = math.ulp(0.0)
+        elif kind < 0.25 and win.xmin < x < win.xmax:
+            # east or west to the window's edge, where the impact lands
+            heading, bearing = int(rng.integers(2)) * math.pi, 0.0
+            r = win.xmax - x if heading == 0.0 else x - win.xmin
+        elif kind < 0.45:
+            yield LaserObs(x, y, heading, bearing, max_range, max_range, True)
+            continue
+        yield LaserObs(x, y, heading, bearing, r, max_range, False)
+
+
+def _marks_impact(o, grid):
+    marks = OccupancyGrid(grid)
+    reference_laser_update(marks, o, BaselineParams(laser_free=0.0))
+    return marks.logodds.any()
+
+
+def test_laser_update_is_bit_identical_to_scalar_definition(monkeypatch):
+    # A small cell budget splits the beams over many passes.
+    monkeypatch.setattr(prfmap.baseline, "_LASER_PASS_CELLS", 40)
+    p = BaselineParams(laser_occupied=0.7, laser_free=0.3)
+    rng = np.random.default_rng(23)
+    for grid in (GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25),
+                 GridSpec(Rect(-1.0, 0.5, 2.0, 2.5), 0.1)):
+        beams = list(random_beams(rng, grid, 400))
+        got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+        grid_update_laser(got, beams, p)
+        for o in beams:
+            reference_laser_update(want, o, p)
+        assert got.logodds.tobytes() == want.logodds.tobytes()
+        # Enough beams mark an impact cell, and the budget makes many passes.
+        assert sum(_marks_impact(o, grid) for o in beams) > 50
+        assert len(list(prfmap.baseline._laser_passes(beams, grid.cell_size))) > 50
+
+
+def test_laser_update_in_one_pass_or_many_is_the_same(corridor_log, monkeypatch):
+    grid = GridSpec(corridor_log.window, RunConfig().cell_size)
+    beams = corridor_log.lasers[:300]
+    want = OccupancyGrid(grid)
+    for o in beams:
+        reference_laser_update(want, o, BaselineParams())
+    for budget in (1, 500, 10**9):
+        monkeypatch.setattr(prfmap.baseline, "_LASER_PASS_CELLS", budget)
+        got = OccupancyGrid(grid)
+        grid_update_laser(got, beams)
+        assert got.logodds.tobytes() == want.logodds.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +432,24 @@ def test_corridor_baseline_is_pinned(tmp_path):
                              log.sonars, cfg.baseline_params())
     assert len(log.lasers) == 5_400 and not log.sonars
     assert hashlib.sha256(g.logodds.tobytes()).hexdigest()[:16] == "2c33bd4f69cb6e64"
+
+
+def _corridor_baseline_digest(tmp_path, **options):
+    cfg = dataclasses.replace(RunConfig(), world="corridor", **options)
+    out = str(tmp_path / "sim")
+    assert cmd_simulate(cfg, out) == 0
+    log = read_scanlog(out + ".log")
+    g = build_occupancy_grid(GridSpec(log.window, cfg.cell_size), log.lasers,
+                             log.sonars, cfg.baseline_params())
+    return len(log.lasers), len(log.sonars), hashlib.sha256(g.logodds.tobytes()).hexdigest()[:16]
+
+
+def test_corridor_baseline_of_another_seed_is_pinned(tmp_path):
+    # Held-out sim seed 4, recorded with the per-beam laser update.
+    assert _corridor_baseline_digest(tmp_path, sim_seed=4) == (5_400, 0, "626ad1e32573f952")
+
+
+def test_mixed_corridor_baseline_is_pinned(tmp_path):
+    # Lasers, then sonars, into one grid; recorded with the per-beam laser update.
+    assert _corridor_baseline_digest(tmp_path, sim_seed=0, sim_sensors="both") == \
+        (5_400, 480, "6bd75898316f5c2e")

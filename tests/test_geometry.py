@@ -9,6 +9,7 @@ visibility oracle casts dense fans of rays.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from prfmap.geometry import (
     clip_segment_to_rect,
     crossing_parity,
     dist,
+    grid_trace_many,
     grid_trace_segment,
     grid_trace_with_entries,
     point_segment_distance,
@@ -368,9 +370,20 @@ def grid_and_segment(draw):
     on cell lines and corners, axis-parallel segments (on a cell boundary
     when the shared coordinate is snapped), zero-length segments, and
     segments partly or wholly outside the window."""
-    cell = draw(st.sampled_from((0.05, 0.25, 0.5)))
-    grid = GridSpec(TRACE_WINDOW, cell)
-    w = grid.window
+    grid = GridSpec(TRACE_WINDOW, draw(st.sampled_from((0.05, 0.25, 0.5))))
+    return grid, _draw_segment(draw, grid)
+
+
+@st.composite
+def grid_and_segments(draw):
+    """A grid and up to a dozen segments, each drawn as grid_and_segment
+    draws one."""
+    grid = GridSpec(TRACE_WINDOW, draw(st.sampled_from((0.05, 0.25, 0.5))))
+    return grid, [_draw_segment(draw, grid) for _ in range(draw(st.integers(0, 12)))]
+
+
+def _draw_segment(draw, grid):
+    cell, w = grid.cell_size, grid.window
 
     def coord(lo, hi, n):
         return draw(st.one_of(
@@ -381,7 +394,7 @@ def grid_and_segment(draw):
     kind = draw(st.sampled_from(("free", "horizontal", "vertical", "point")))
     bx = ax if kind in ("vertical", "point") else coord(w.xmin, w.xmax, grid.nx)
     by = ay if kind in ("horizontal", "point") else coord(w.ymin, w.ymax, grid.ny)
-    return grid, Segment(Point2(ax, ay), Point2(bx, by))
+    return Segment(Point2(ax, ay), Point2(bx, by))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -393,6 +406,89 @@ def test_trace_entries_match_per_cell_clip(case):
     # float.hex compares bit for bit, signed zeros included.
     assert [(t.hex(), ix, iy) for t, ix, iy in got] == \
         [(t.hex(), ix, iy) for t, ix, iy in want]
+    assert trace_many_rows([seg], grid) == scalar_trace_rows([seg], grid)
+
+
+def scalar_trace_rows(segs, grid):
+    """Each segment's grid_trace_with_entries, as (segment, entry as
+    float.hex, ix, iy) rows, segment after segment."""
+    return [(k, t.hex(), ix, iy) for k, seg in enumerate(segs)
+            for t, ix, iy in grid_trace_with_entries(seg, grid)]
+
+
+def trace_many_rows(segs, grid):
+    """One grid_trace_many call over all the segments, as the same rows."""
+    ends = np.array([(a.x, a.y, b.x, b.y) for a, b in segs], dtype=np.float64).reshape(-1, 4)
+    seg, ix, iy, entry = grid_trace_many(*ends.T, grid)
+    return list(zip(seg.tolist(), [t.hex() for t in entry.tolist()], ix.tolist(), iy.tolist()))
+
+
+def structured_segments(rng, grid, n):
+    """Random segments in and around the window: endpoints snapped to cell
+    lines, axis-parallel (some along a cell boundary), zero-length, wholly
+    outside, through a window corner, and free."""
+    w, cell = grid.window, grid.cell_size
+    corners = [(w.xmin, w.ymin), (w.xmax, w.ymin), (w.xmax, w.ymax), (w.xmin, w.ymax)]
+
+    def coord(lo, hi, cells):
+        if rng.random() < 0.5:
+            return lo + rng.randint(-2, cells + 2) * cell
+        return rng.uniform(lo - 1.0, hi + 1.0)
+
+    out = []
+    for _ in range(n):
+        ax, ay = coord(w.xmin, w.xmax, grid.nx), coord(w.ymin, w.ymax, grid.ny)
+        bx, by = coord(w.xmin, w.xmax, grid.nx), coord(w.ymin, w.ymax, grid.ny)
+        kind = rng.choice(("free", "horizontal", "vertical", "point", "outside", "corner"))
+        if kind == "horizontal":
+            by = ay
+        elif kind == "vertical":
+            bx = ax
+        elif kind == "point":
+            bx, by = ax, ay
+        elif kind == "outside":
+            ax, bx = w.xmax + rng.uniform(0.0, 1.0), w.xmax + rng.uniform(0.0, 1.0)
+        elif kind == "corner":
+            # from the corner, or across it along a diagonal
+            (ax, ay), u, v = rng.choice(corners), rng.choice((0.25, 0.5, 1.5)), 0.75
+            if rng.random() < 0.5:
+                sx, sy = rng.choice((-1.0, 1.0)), rng.choice((-1.0, 1.0))
+                ax, ay, bx, by = ax - sx * u, ay - sy * u, ax + sx * v, ay + sy * v
+        out.append(Segment(Point2(ax, ay), Point2(bx, by)))
+    return out
+
+
+def test_trace_many_matches_the_scalar_trace(corridor_log):
+    # The corridor log's beams, on the benchmark's grid, with random
+    # segments of every awkward kind, all in one call.
+    grid = GridSpec(corridor_log.window, 0.05)
+    segs = []
+    for o in corridor_log.lasers:
+        ux, uy = unit_vector(o.heading + o.bearing)
+        segs.append(Segment(Point2(o.x, o.y), Point2(o.x + o.range * ux, o.y + o.range * uy)))
+    segs += structured_segments(random.Random(5), grid, 3_000)
+    want = scalar_trace_rows(segs, grid)
+    assert len(want) > 250_000
+    assert trace_many_rows(segs, grid) == want
+    for seed, cell in enumerate((0.05, 0.25, 0.5)):
+        grid = GridSpec(TRACE_WINDOW, cell)
+        segs = structured_segments(random.Random(seed), grid, 2_000)
+        assert trace_many_rows(segs, grid) == scalar_trace_rows(segs, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_and_segments())
+def test_trace_many_matches_the_scalar_trace_on_drawn_segments(case):
+    # Mixes of test_trace_entries_match_per_cell_clip's cases, one call each.
+    grid, segs = case
+    assert trace_many_rows(segs, grid) == scalar_trace_rows(segs, grid)
+
+
+def test_trace_many_of_no_segment_is_empty():
+    grid = GridSpec(TRACE_WINDOW, 0.25)
+    seg, ix, iy, entry = grid_trace_many([], [], [], [], grid)
+    assert len(seg) == len(ix) == len(iy) == len(entry) == 0
+    assert trace_many_rows([], grid) == []
 
 
 @settings(max_examples=500, deadline=None)
