@@ -152,61 +152,40 @@ def grid_update_sonar(g: OccupancyGrid, o: SonarObs,
     win = grid.window
     x0 = win.xmin + np.arange(ix0, ix1 + 1) * size               # columns
     y0 = (win.ymin + np.arange(iy0, iy1 + 1) * size)[:, None]    # rows
-    inc, ties = _sonar_increments(np.hypot, o, p, reach, slack, x0, y0, size)
-    if ties.any():
-        inc, _ = _sonar_increments(_math_hypot, o, p, reach, slack, x0, y0, size)
     box = g.logodds[iy0:iy1 + 1, ix0:ix1 + 1]
-    box += inc
+    box += _sonar_increments(o, p, reach, slack, x0, y0, size)
 
 
-def _math_hypot(x, y) -> np.ndarray:
-    """math.hypot elementwise."""
-    return np.frompyfunc(math.hypot, 2, 1)(x, y).astype(np.float64)
-
-
-# np.hypot and math.hypot are each within an ulp of the exact distance, yet
-# differ in the last bit for about one cell in 150.  Only a test whose two
-# sides are closer than this (times the reach, for distances) can resolve
-# differently under the two.
-_HYPOT_TIE = 1e-12
-
-
-def _sonar_increments(hypot, o: SonarObs, p: BaselineParams, reach: float,
-                      slack: float, x0: np.ndarray, y0: np.ndarray, size: float):
-    """Increments of one ping on a box of cells of side ``size``.
+def _sonar_increments(o: SonarObs, p: BaselineParams, reach: float, slack: float,
+                      x0: np.ndarray, y0: np.ndarray, size: float) -> np.ndarray:
+    """Increments of one ping on a box of cells of side ``size``:
+    ``+sonar_occupied``, ``-sonar_free`` or 0.0.
 
     ``x0`` holds the box's column left edges and ``y0`` its row bottom
     edges, as a column vector.  Each test repeats the float operations of
-    the scalar definition, in its order, with distances from ``hypot``.
-    Returns the increments (``+sonar_occupied``, ``-sonar_free`` or 0.0)
-    and a mask of the cells with a test within ``_HYPOT_TIE`` of its
-    threshold; math.hypot resolves those.
+    the scalar definition, in its order.
     """
     x1, y1 = x0 + size, y0 + size
     cx = 0.5 * (x0 + x1) - o.x
     cy = 0.5 * (y0 + y1) - o.y
     ux, uy = unit_vector(o.heading + o.bearing)
-    cos_half = math.cos(o.half_angle)
-    d = hypot(cx, cy)
+    cos_half = float(np.cos(o.half_angle))
+    d = np.hypot(cx, cy)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_off = (cx * ux + cy * uy) / d    # nan at d == 0: not in the cone
     cone = (d <= reach) & (cos_off >= cos_half)
-    tol = _HYPOT_TIE * reach
-    ties = (np.abs(cos_off - cos_half) <= _HYPOT_TIE) | (np.abs(d - reach) <= tol)
     if o.is_max_range:
-        return np.where(cone, -p.sonar_free, 0.0), ties
+        return np.where(cone, -p.sonar_free, 0.0)
     r, w = o.range, p.sonar_arc_halfwidth
     # Nearest and farthest point of each closed square from the apex.
-    near = hypot(np.maximum(np.maximum(x0 - o.x, 0.0), o.x - x1),
-                 np.maximum(np.maximum(y0 - o.y, 0.0), o.y - y1))
-    far = hypot(np.maximum(np.abs(x0 - o.x), np.abs(x1 - o.x)),
-                np.maximum(np.abs(y0 - o.y), np.abs(y1 - o.y)))
+    near = np.hypot(np.maximum(np.maximum(x0 - o.x, 0.0), o.x - x1),
+                    np.maximum(np.maximum(y0 - o.y, 0.0), o.y - y1))
+    far = np.hypot(np.maximum(np.abs(x0 - o.x), np.abs(x1 - o.x)),
+                   np.maximum(np.abs(y0 - o.y), np.abs(y1 - o.y)))
     gap = np.abs(d - r)
     arc = cone & (gap <= slack) & (near <= r + w) & (far >= r - w)
     free = cone & ~arc & (d < r - w)
-    ties |= ((np.abs(gap - slack) <= tol) | (np.abs(gap - w) <= tol)
-             | (np.abs(near - (r + w)) <= tol) | (np.abs(far - (r - w)) <= tol))
-    return np.where(arc, p.sonar_occupied, np.where(free, -p.sonar_free, 0.0)), ties
+    return np.where(arc, p.sonar_occupied, np.where(free, -p.sonar_free, 0.0))
 
 
 def build_occupancy_grid(grid: GridSpec, lasers, sonars,

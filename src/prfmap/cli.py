@@ -94,8 +94,7 @@ def chain_report(samp: Sampler, elapsed: float) -> str:
 def run_posterior_chain(log: ScanLog, cfg: RunConfig, chain_index: int,
                         ) -> tuple[OccupancyAccumulator, Sampler, float]:
     """One posterior chain over a parsed log; returns accumulator + sampler."""
-    window = log.window
-    assert window is not None
+    window = _require_window(log, "run_posterior_chain")
     col = Coloring.empty(window, cell_size=cfg.index_cell_size)
     lik = likelihood_for_log(col, log, cfg)
     rng = np.random.default_rng([cfg.seed, chain_index])

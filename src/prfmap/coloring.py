@@ -614,8 +614,28 @@ class Coloring:
     # -- integrity --------------------------------------------------------
 
     def validate(self) -> None:
-        """Full structural check (quadratic; for tests and debugging)."""
+        """Full structural check (quadratic; for tests and debugging): the
+        graph and geometry (:meth:`_check_structure`), then the bookkeeping
+        that mirrors them, asserted: id sets, incidence lists, the edge
+        table, traced cells and cached statistics."""
         self._check_structure()
+        for vid, v in self.vertices.items():
+            assert vid in (self.interior_ids if v.kind == INTERIOR else self.boundary_ids)
+            for eid in v.edges:
+                assert vid in self.edges[eid], f"vertex {vid} not in edge {eid}"
+        assert len(self.interior_ids) + len(self.boundary_ids) == len(self.vertices)
+        assert sorted(self.edge_ids) == sorted(self.edges)
+        for eid, (v1, v2) in self.edges.items():
+            assert eid in self.vertices[v1].edges and eid in self.vertices[v2].edges
+        for row, eid in enumerate(self.edge_ids):
+            seg = self.segment_of(eid)
+            x0, y0, x1, y1 = _box_of(seg)
+            assert [self._eid[row], *self._geom[row]] == \
+                [eid, *seg.a, *seg.b, x0, y0, -x1, -y1], f"table row {row} stale"
+        for eid, cells in self._cells.items():
+            assert eid in self.edges, f"cells cached for dead edge {eid}"
+            assert cells == frozenset(grid_trace_segment(self.segment_of(eid), self.grid)), \
+                f"edge {eid} cells stale"
         live = self.stats
         fresh = self.recompute_stats()
         assert live.n_edges == fresh.n_edges
@@ -627,44 +647,34 @@ class Coloring:
         self.stats = live
 
     def _check_structure(self) -> None:
-        """:meth:`validate` without the cached statistics."""
+        """Raise ValueError unless the graph and its geometry form a valid
+        map: vertex degrees and placement, edge lengths, the anchor clear of
+        every edge and no two edges crossing."""
         for vid, v in self.vertices.items():
             if v.kind == INTERIOR:
-                assert len(v.edges) == 2, f"interior vertex {vid} degree {len(v.edges)}"
-                assert self.window.contains_strict(v.point), f"vertex {vid} outside window"
-                assert vid in self.interior_ids
+                if len(v.edges) != 2:
+                    raise ValueError(f"interior vertex {vid} degree {len(v.edges)}")
+                if not self.window.contains_strict(v.point):
+                    raise ValueError(f"vertex {vid} outside window")
             else:
-                assert len(v.edges) == 1, f"boundary vertex {vid} degree {len(v.edges)}"
-                assert _on_boundary_clear_of_corners(self.window, v.point), \
-                    f"boundary vertex {vid} misplaced"
-                assert vid in self.boundary_ids
-            for eid in v.edges:
-                assert vid in self.edges[eid], f"vertex {vid} not in edge {eid}"
-        assert len(self.interior_ids) + len(self.boundary_ids) == len(self.vertices)
-        assert sorted(self.edge_ids) == sorted(self.edges)
+                if len(v.edges) != 1:
+                    raise ValueError(f"boundary vertex {vid} degree {len(v.edges)}")
+                if not _on_boundary_clear_of_corners(self.window, v.point):
+                    raise ValueError(f"boundary vertex {vid} misplaced")
         for eid, (v1, v2) in self.edges.items():
-            assert v1 != v2, f"edge {eid} is a loop at vertex {v1}"
-            assert eid in self.vertices[v1].edges and eid in self.vertices[v2].edges
-            assert self.edge_length(eid) >= MIN_EDGE_LENGTH, f"edge {eid} too short"
+            if v1 == v2:
+                raise ValueError(f"edge {eid} is a loop at vertex {v1}")
+            if self.edge_length(eid) < MIN_EDGE_LENGTH:
+                raise ValueError(f"edge {eid} too short")
         eids = sorted(self.edges)
         for i, e1 in enumerate(eids):
             s1 = self.segment_of(e1)
-            assert point_segment_distance(self.anchor, s1.a, s1.b) >= EPS_GEOM, \
-                f"edge {e1} touches the anchor"
+            if point_segment_distance(self.anchor, s1.a, s1.b) < EPS_GEOM:
+                raise ValueError(f"edge {e1} touches the anchor")
             for e2 in eids[i + 1:]:
-                shared = len(set(self.edges[e1]) & set(self.edges[e2])) > 0
-                if not shared:
-                    assert not segments_properly_intersect(s1, self.segment_of(e2)), \
-                        f"edges {e1} and {e2} cross"
-        for row, eid in enumerate(self.edge_ids):
-            seg = self.segment_of(eid)
-            x0, y0, x1, y1 = _box_of(seg)
-            assert [self._eid[row], *self._geom[row]] == \
-                [eid, *seg.a, *seg.b, x0, y0, -x1, -y1], f"table row {row} stale"
-        for eid, cells in self._cells.items():
-            assert eid in self.edges, f"cells cached for dead edge {eid}"
-            assert cells == frozenset(grid_trace_segment(self.segment_of(eid), self.grid)), \
-                f"edge {eid} cells stale"
+                if (not set(self.edges[e1]) & set(self.edges[e2])
+                        and segments_properly_intersect(s1, self.segment_of(e2))):
+                    raise ValueError(f"edges {e1} and {e2} cross")
 
     def semantically_equal(self, other: "Coloring") -> bool:
         if self.window != other.window or self.anchor != other.anchor:
@@ -755,7 +765,7 @@ class Coloring:
         try:
             col._check_structure()
             col.recompute_stats()
-        except AssertionError as exc:
+        except (AssertionError, ValueError) as exc:
             raise ValueError(f"invalid map: {exc}") from None
         return col
 

@@ -7,26 +7,23 @@ angular interval, in the sweep's order, bit for bit, without building a
 :class:`geometry.VisibleFeature`.  Each step of the sweep runs over
 flattened (cone, edge), (cone, event interval, edge) and (corner, edge)
 arrays with the scalar code's float operations in its order.  Python's
-``max``/``min`` picks are kept, so even the sign of a zero matches, and
-``cos``, ``sin``, ``atan2``, ``hypot`` and ``asin`` come from :mod:`math`
-(:func:`math_map`), since numpy's SIMD versions may round differently.
+``max``/``min`` picks are kept, so even the sign of a zero matches.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import EPS_GEOM, ZERO_WIDTH_FACE_TOL, expand_counts, pymax, pymin
-
-
-def math_map(f, *args) -> np.ndarray:
-    """``f`` from :mod:`math` of each element (numpy's SIMD cos, atan2, hypot,
-    exp, ... may differ from it in the last bit)."""
-    return np.fromiter(map(f, *(np.asarray(a).tolist() for a in args)),
-                       np.float64, len(args[0]))
+from .geometry import (
+    EPS_GEOM,
+    ZERO_WIDTH_FACE_TOL,
+    expand_counts,
+    point_segment_distance_batch,
+    pymax,
+    pymin,
+)
 
 
 def _clamp(v, lo, hi):
@@ -44,15 +41,7 @@ def first_of_runs(*keys) -> np.ndarray:
 
 def _rel_angle(hx, hy, vx, vy) -> np.ndarray:
     """:func:`geometry.relative_angle` for headings with unit vector (hx, hy)."""
-    return math_map(math.atan2, hx * vy - hy * vx, hx * vx + hy * vy)
-
-
-def _point_seg_dist(px, py, ax, ay, bx, by) -> np.ndarray:
-    """:func:`geometry.point_segment_distance`, with its operations."""
-    ex, ey = bx - ax, by - ay
-    t = ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)
-    t = pymin(1.0, pymax(0.0, t))      # 0 where the segment is a point (t nan)
-    return math_map(math.hypot, ax + t * ex - px, ay + t * ey - py)
+    return np.arctan2(hx * vy - hy * vx, hx * vx + hy * vy)
 
 
 def _ray_params(ox, oy, dx, dy, ax, ay, bx, by):
@@ -129,10 +118,10 @@ def _projection_angles(ox, oy, pax, pay, pbx, pby) -> np.ndarray:
     L2 = ex * ex + ey * ey
     t = pymin(1.0, pymax(0.0, ((ox - pax) * ex + (oy - pay) * ey) / L2))
     cx, cy = pax + t * ex - ox, pay + t * ey - oy
-    nu, nv = math_map(math.hypot, cx, cy), math_map(math.hypot, ex, ey)
+    nu, nv = np.hypot(cx, cy), np.hypot(ex, ey)
     s = pymin(1.0, np.abs(cx * ey - cy * ex) / (nu * nv))
     s = np.where((nu == 0.0) | (nv == 0.0), 0.0, s)
-    return np.where(L2 == 0.0, 0.0, math_map(math.asin, s))
+    return np.where(L2 == 0.0, 0.0, np.arcsin(s))
 
 
 class ConeRows(NamedTuple):
@@ -172,7 +161,8 @@ def _clipped(g: ConeRows, e: EdgePairs) -> tuple[EdgePairs, np.ndarray, np.ndarr
                                  e.ax, e.ay, dx, dy)
     pax, pay, pbx, pby = e.ax + t0 * dx, e.ay + t0 * dy, e.ax + t1 * dx, e.ay + t1 * dy
     k = np.flatnonzero(inside & ~((pax == pbx) & (pay == pby)))
-    k = k[~(_point_seg_dist(px[k], py[k], pax[k], pay[k], pbx[k], pby[k]) > g.rng[e.c[k]])]
+    k = k[~(point_segment_distance_batch(px[k], py[k], pax[k], pay[k], pbx[k], pby[k])
+            > g.rng[e.c[k]])]
     e = e.take(k)
     hx, hy, b = g.hx[e.c], g.hy[e.c], g.beta[e.c]
     a0 = _clamp(_rel_angle(hx, hy, pax[k] - px[k], pay[k] - py[k]), -b, b)
@@ -206,7 +196,7 @@ def _runs(g: ConeRows, e: EdgePairs, lo, hi) -> tuple[EdgePairs, np.ndarray, np.
     need = np.flatnonzero(need)
     ang = g.heading[ev_c[need]] + 0.5 * (ev_a[need] + ev_a[need + 1])
     ux, uy = np.empty(len(ev_a)), np.empty(len(ev_a))
-    ux[need], uy[need] = math_map(math.cos, ang), math_map(math.sin, ang)
+    ux[need], uy[need] = np.cos(ang), np.sin(ang)
     c = e.c[tj]
     hit, t = ray_hits(g.cx[c], g.cy[c], ux[ti], uy[ti], e.ax[tj], e.ay[tj], e.bx[tj], e.by[tj])
     h = np.flatnonzero(hit)
@@ -230,13 +220,12 @@ def _run_faces(g: ConeRows, e: EdgePairs, r0, r1):
     c = e.c
     ox, oy = g.cx[c], g.cy[c]
     h0, h1 = g.heading[c] + r0, g.heading[c] + r1
-    c0, s0, c1, s1 = (math_map(f, a) for f, a in ((math.cos, h0), (math.sin, h0),
-                                               (math.cos, h1), (math.sin, h1)))
+    c0, s0, c1, s1 = np.cos(h0), np.sin(h0), np.cos(h1), np.sin(h1)
     ok0, t_lo = _lenient_hits(ox, oy, c0, s0, e.ax, e.ay, e.bx, e.by)
     ok1, t_hi = _lenient_hits(ox, oy, c1, s1, e.ax, e.ay, e.bx, e.by)
     qax, qay, qbx, qby, ok = _clip_to_range(ox + t_lo * c0, oy + t_lo * s0,
                                             ox + t_hi * c1, oy + t_hi * s1, ox, oy, g.rng[c])
-    depth = _point_seg_dist(ox, oy, qax, qay, qbx, qby)
+    depth = point_segment_distance_batch(ox, oy, qax, qay, qbx, qby)
     a0 = _rel_angle(g.hx[c], g.hy[c], qax - ox, qay - oy)
     a1 = _rel_angle(g.hx[c], g.hy[c], qbx - ox, qby - oy)
     swap = a0 > a1
@@ -248,7 +237,7 @@ def _run_faces(g: ConeRows, e: EdgePairs, r0, r1):
                        & ~(a1 - a0 <= ZERO_WIDTH_FACE_TOL))
     qax, qay, qbx, qby, ox, oy, c, depth, a0, a1 = (
         v[k] for v in (qax, qay, qbx, qby, ox, oy, c, depth, a0, a1))
-    far = pymax(math_map(math.hypot, qax - ox, qay - oy), math_map(math.hypot, qbx - ox, qby - oy))
+    far = pymax(np.hypot(qax - ox, qay - oy), np.hypot(qbx - ox, qby - oy))
     b = g.beta[c]
     return (c, np.zeros(len(c), dtype=np.int64), e.sid[k], depth,
             _projection_angles(ox, oy, qax, qay, qbx, qby), pymax(0.0, a1 - a0),
@@ -265,7 +254,7 @@ def _corners(g: ConeRows, e: EdgePairs):
     k = np.sort(o[first_of_runs(vc[o], vx[o], vy[o])])
     vc, vs = vc[k], np.repeat(e.sid, 2)[k]
     dx, dy = vx[k] - g.cx[vc], vy[k] - g.cy[vc]
-    d = math_map(math.hypot, dx, dy)
+    d = np.hypot(dx, dy)
     k = np.flatnonzero((d != 0.0) & ~(d > g.rng[vc]))
     vc, vs, dx, dy, d = vc[k], vs[k], dx[k], dy[k], d[k]
     alpha = _rel_angle(g.hx[vc], g.hy[vc], dx, dy)

@@ -625,13 +625,13 @@ def shorter_arc_chain(rect: Rect, p1: Point2, p2: Point2):
 
 
 def unit_vector(angle: float) -> tuple[float, float]:
-    return (math.cos(angle), math.sin(angle))
+    return (float(np.cos(angle)), float(np.sin(angle)))
 
 
 def relative_angle(heading: float, vx: float, vy: float) -> float:
     """Signed angle of vector v relative to a heading, in (-pi, pi]."""
-    hx, hy = math.cos(heading), math.sin(heading)
-    return math.atan2(hx * vy - hy * vx, hx * vx + hy * vy)
+    hx, hy = unit_vector(heading)
+    return float(np.arctan2(hx * vy - hy * vx, hx * vx + hy * vy))
 
 
 @dataclass(frozen=True)
@@ -721,7 +721,7 @@ def visibility_sweep(segments, cone: Cone) -> list[VisibleFeature]:
         pb = _point_at(seg, t1)
         if pa == pb:
             continue
-        if point_segment_distance(apex, pa, pb) > rng_max:
+        if point_segment_distance_batch(apex.x, apex.y, pa.x, pa.y, pb.x, pb.y) > rng_max:
             continue
         a0 = _clamp(relative_angle(cone.heading, pa.x - apex.x, pa.y - apex.y), -beta, beta)
         a1 = _clamp(relative_angle(cone.heading, pb.x - apex.x, pb.y - apex.y), -beta, beta)
@@ -788,19 +788,18 @@ def _sweep_faces(clipped, cone: Cone) -> list[VisibleFeature]:
     feats = []
     for th0, th1, idx in runs:
         sid, seg, _, _ = clipped[idx]
-        t_lo = _ray_hit_lenient(apex, unit_vector(cone.heading + th0), seg)
-        t_hi = _ray_hit_lenient(apex, unit_vector(cone.heading + th1), seg)
+        (c0, s0), (c1, s1) = unit_vector(cone.heading + th0), unit_vector(cone.heading + th1)
+        t_lo = _ray_hit_lenient(apex, (c0, s0), seg)
+        t_hi = _ray_hit_lenient(apex, (c1, s1), seg)
         if t_lo is None or t_hi is None:
             continue
-        pa = Point2(apex.x + t_lo * math.cos(cone.heading + th0),
-                    apex.y + t_lo * math.sin(cone.heading + th0))
-        pb = Point2(apex.x + t_hi * math.cos(cone.heading + th1),
-                    apex.y + t_hi * math.sin(cone.heading + th1))
+        pa = Point2(apex.x + t_lo * c0, apex.y + t_lo * s0)
+        pb = Point2(apex.x + t_hi * c1, apex.y + t_hi * s1)
         sub = _clip_subsegment_to_range(pa, pb, apex, cone.max_range)
         if sub is None:
             continue
         pa, pb = sub
-        depth = point_segment_distance(apex, pa, pb)
+        depth = float(point_segment_distance_batch(apex.x, apex.y, pa.x, pa.y, pb.x, pb.y))
         if depth > cone.max_range:
             continue
         a0 = relative_angle(cone.heading, pa.x - apex.x, pa.y - apex.y)
@@ -846,7 +845,7 @@ def _clip_subsegment_to_range(pa: Point2, pb: Point2, apex: Point2, R: float):
     fx, fy = pa.x - apex.x, pa.y - apex.y
     a = ex * ex + ey * ey
     if a == 0.0:
-        return (pa, pb) if math.hypot(fx, fy) <= R else None
+        return (pa, pb) if np.hypot(fx, fy) <= R else None
     b = 2.0 * (fx * ex + fy * ey)
     c = fx * fx + fy * fy - R * R
     disc = b * b - 4.0 * a * c
@@ -874,7 +873,10 @@ def _projection_angle(apex: Point2, pa: Point2, pb: Point2) -> float:
     t = ((apex.x - pa.x) * ex + (apex.y - pa.y) * ey) / L2
     t = min(1.0, max(0.0, t))
     cx, cy = pa.x + t * ex - apex.x, pa.y + t * ey - apex.y
-    return math.asin(sin_angle_between(cx, cy, ex, ey))
+    nu, nv = np.hypot(cx, cy), np.hypot(ex, ey)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.arcsin(min(1.0, abs(cx * ey - cy * ex) / (nu * nv))))
 
 
 def _corner_features(segments, cone: Cone) -> list[VisibleFeature]:
@@ -890,7 +892,7 @@ def _corner_features(segments, cone: Cone) -> list[VisibleFeature]:
                 continue
             seen.add(key)
             vx, vy = v.x - apex.x, v.y - apex.y
-            d = math.hypot(vx, vy)
+            d = float(np.hypot(vx, vy))
             if d == 0.0 or d > cone.max_range:
                 continue
             alpha = relative_angle(cone.heading, vx, vy)

@@ -27,17 +27,14 @@ class Likelihood(Protocol):
 
     ``delta_for_edit`` is called with the coloring already mutated to the
     post state; it stages internal updates and returns the change in total
-    log likelihood.  A post state of zero likelihood may return either -inf
-    or None.  Both reject the edit, but they differ in the random stream:
-    after -inf the step still draws its uniform, after None it draws
-    nothing.  A float return is followed by exactly one ``commit`` (edit
-    accepted) or ``rollback`` (edit rejected, coloring reverted); after
-    None neither is called, so nothing may stay staged.
+    log likelihood, -inf for a post state of zero likelihood.  It is
+    followed by exactly one ``commit`` (edit accepted) or ``rollback``
+    (edit rejected, coloring reverted).
     """
 
     def log_likelihood(self) -> float: ...
 
-    def delta_for_edit(self, col: Coloring, result: ApplyResult) -> float | None: ...
+    def delta_for_edit(self, col: Coloring, result: ApplyResult) -> float: ...
 
     def commit(self) -> None: ...
 
@@ -124,11 +121,7 @@ class Sampler:
         new_energy = energy(self.col.stats, self.prior_params)
         d_lik = 0.0
         if self.likelihood is not None:
-            d = self.likelihood.delta_for_edit(self.col, result)
-            if d is None:
-                self.col.revert(result.token)
-                return StepInfo(prop.kind, True, False, -math.inf, None)
-            d_lik = d
+            d_lik = self.likelihood.delta_for_edit(self.col, result)
         # The temperature scales only the potential (edge-length energy) and
         # the data term; the reference-mass factor |E| log p − Σlog|e| + Σlog
         # sin stays untempered so cooling drives the chain toward the

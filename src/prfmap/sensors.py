@@ -32,11 +32,18 @@ An edit that changes the color of any sensor position has likelihood zero
 and returns -inf before anything is evaluated.  No cell index is kept.
 
 The batched paths give the scalar functions' results bit for bit: numpy
-arithmetic runs the scalar's operations in the scalar's order, ``exp``,
-``log``, ``atan2``, ``hypot`` and the other transcendental functions go
-through :mod:`math` (numpy's SIMD versions may differ from it in the last
-bit), and a likelihood delta or a total is summed left to right, as a
-Python loop adds, not by numpy's pairwise ``sum``.
+arithmetic runs the scalar's operations in the scalar's order, and a
+likelihood delta or a total is summed left to right, as a Python loop adds,
+not by numpy's pairwise ``sum``.
+
+Transcendental functions have one source.  Every array path and every
+scalar function it is tested against (here, in :mod:`cone_sweep`,
+:mod:`geometry`'s sweep and :mod:`baseline`) takes ``cos``, ``sin``,
+``arctan2``, ``hypot``, ``arcsin``, ``exp``, ``expm1`` and ``log`` from
+numpy, on arrays and on floats alike, since numpy's SIMD loops may round
+differently from :mod:`math`.  Scalar code with no batched twin (the
+coloring, the moves, the prior, the sampler and the simulator's random
+draws) keeps :mod:`math`, whose calls on floats cost a fraction of numpy's.
 """
 
 from __future__ import annotations
@@ -52,7 +59,6 @@ from .cone_sweep import (
     EdgePairs,
     cone_features,
     first_of_runs,
-    math_map,
     ray_hits,
     wedge_clip,
 )
@@ -209,21 +215,23 @@ class SonarParams:
                  + self.face_distance_slope * f.depth
                  + self.face_projection_slope * f.projection_angle
                  + self.face_subtended_slope * f.subtended_angle)
-        return 1.0 / (1.0 + math.exp(-g))
+        return 1.0 / (1.0 + float(np.exp(-g)))
 
 
 # ---------------------------------------------------------------------------
 # scalar density helpers
 
 
-def _log_density(dens: np.ndarray) -> np.ndarray:
-    """``math.log`` of each density, -inf where it is not positive."""
-    return np.array([math.log(v) if v > 0.0 else -math.inf for v in dens.tolist()])
+def _log_density(dens):
+    """Log of each density, -inf where it is not positive; a float of a float."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = np.where(dens > 0.0, np.log(dens), -math.inf)
+    return ll if ll.ndim else float(ll)
 
 
 def _gauss_pdf(x: float, mu: float, sigma: float) -> float:
     z = (x - mu) / sigma
-    return math.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
+    return float(np.exp(-0.5 * z * z)) / (sigma * _SQRT_2PI)
 
 
 def beam_direction(heading: float, bearing: float) -> tuple[float, float]:
@@ -231,10 +239,10 @@ def beam_direction(heading: float, bearing: float) -> tuple[float, float]:
 
 
 def beam_directions(angle) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`beam_direction` of many beams at once, bit for bit: ``math.cos``
-    and ``math.sin`` of each beam's ``heading + bearing``."""
+    """:func:`beam_direction` of many beams at once, bit for bit: the cosine
+    and sine of each beam's ``heading + bearing``."""
     angle = np.asarray(angle, dtype=np.float64)
-    return math_map(math.cos, angle), math_map(math.sin, angle)
+    return np.cos(angle), np.sin(angle)
 
 
 def beam_cap(col: Coloring, origin: Point2, direction: tuple[float, float],
@@ -324,19 +332,16 @@ def _laser_density_log(r: float, flagged: bool, d_star: float,
             + p.w_uniform / max_range)
     if flagged:
         dens += p.w_maxrange
-    return math.log(dens) if dens > 0.0 else -math.inf
+    return _log_density(dens)
 
 
 def _laser_density_log_batch(r: np.ndarray, flagged: np.ndarray, d_star: np.ndarray,
                              max_range: np.ndarray, p: LaserParams) -> np.ndarray:
-    """:func:`_laser_density_log` of each reading, bit for bit.
-
-    The arithmetic is the scalar's, operation by operation; ``exp`` and
-    ``log`` are :mod:`math`'s, since numpy's may round differently.
-    """
+    """:func:`_laser_density_log` of each reading, bit for bit: the
+    scalar's arithmetic, operation by operation."""
     sigma = np.maximum(p.sigma_frac * d_star, p.sigma_floor)
     z = (r - d_star) / sigma
-    gauss = math_map(math.exp, -0.5 * z * z) / (sigma * _SQRT_2PI)
+    gauss = np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
     dens = p.w_gauss * gauss + p.w_uniform / max_range
     return _log_density(np.where(flagged, dens + p.w_maxrange, dens))
 
@@ -377,15 +382,13 @@ def sonar_features(o: SonarObs, col: Coloring,
     return return_probabilities(visibility_sweep(cands, cone), params)
 
 
-def _sonar_outlier(r: float, flagged: bool, max_range: float, p: SonarParams) -> float:
-    """Density of reading ``r`` when no feature produced the return."""
-    outlier = p.w_uniform / max_range
+def _sonar_outlier(r, flagged, max_range, p: SonarParams):
+    """Density of reading ``r`` when no feature produced the return; the
+    arguments are floats or arrays of one entry per reading."""
     rate = p.outlier_rate
-    outlier += (p.w_exponential * rate * math.exp(-rate * r)
-                / -math.expm1(-rate * max_range))
-    if flagged:
-        outlier += p.w_maxrange
-    return outlier
+    outlier = (p.w_uniform / max_range
+               + p.w_exponential * rate * np.exp(-rate * r) / -np.expm1(-rate * max_range))
+    return np.where(flagged, outlier + p.w_maxrange, outlier)
 
 
 def _sonar_density_log(r: float, flagged: bool,
@@ -396,8 +399,8 @@ def _sonar_density_log(r: float, flagged: bool,
     for f, _, rf in triples:
         dens += rf * _gauss_pdf(r, f.depth, p.sigma)
         total_r += rf
-    dens += (1.0 - total_r) * _sonar_outlier(r, flagged, max_range, p)
-    return math.log(dens) if dens > 0.0 else -math.inf
+    dens += (1.0 - total_r) * float(_sonar_outlier(r, flagged, max_range, p))
+    return _log_density(dens)
 
 
 def sonar_log_likelihood(o: SonarObs, col: Coloring, p: SonarParams) -> float:
@@ -592,9 +595,8 @@ class _SonarCones:
     sweep and the depth sort, and :func:`return_probabilities`,
     :func:`_sonar_density_log` and :func:`_sweep_contact_radius_points` run
     as numpy passes over the features, with the scalar code's float
-    operations in its order, ``exp`` and ``log`` from :mod:`math`, and
-    products and sums taken left to right (``multiply``/``add.accumulate``
-    along each cone's row).
+    operations in its order, and products and sums taken left to right
+    (``multiply``/``add.accumulate`` along each cone's row).
 
     A cone's features depend only on the edges that meet its sector, taken
     in increasing id: the id order breaks ties in ``(t, id)`` and names the
@@ -620,12 +622,9 @@ class _SonarCones:
         self.beta = np.array([o.half_angle for o in sonars], dtype=np.float64)
         self.max_range = np.array([o.max_range for o in sonars], dtype=np.float64)
         self.reading = np.array([o.range for o in sonars], dtype=np.float64)
-        self.hx = math_map(math.cos, self.heading)
-        self.hy = math_map(math.sin, self.heading)
-        self.ulox = math_map(math.cos, self.heading - self.beta)
-        self.uloy = math_map(math.sin, self.heading - self.beta)
-        self.uhix = math_map(math.cos, self.heading + self.beta)
-        self.uhiy = math_map(math.sin, self.heading + self.beta)
+        self.hx, self.hy = np.cos(self.heading), np.sin(self.heading)
+        self.ulox, self.uloy = np.cos(self.heading - self.beta), np.sin(self.heading - self.beta)
+        self.uhix, self.uhiy = np.cos(self.heading + self.beta), np.sin(self.heading + self.beta)
         # how far toward -x, +x, -y and +y each wedge reaches per unit of
         # radius: 1 where its arc crosses that axis direction, else the
         # farther of its two edges (or 0, the apex)
@@ -640,8 +639,9 @@ class _SonarCones:
                              self.sx + r * self.reach[1] + _TOUCH_EPS,
                              self.sy - r * self.reach[2] - _TOUCH_EPS,
                              self.sy + r * self.reach[3] + _TOUCH_EPS])
-        self.outlier = np.array([_sonar_outlier(o.range, o.is_max_range, o.max_range, p)
-                                 for o in sonars], dtype=np.float64)
+        self.outlier = _sonar_outlier(self.reading,
+                                      np.array([o.is_max_range for o in sonars], dtype=bool),
+                                      self.max_range, p)
         # a cone that sees nothing: _sonar_density_log of no feature
         self.ll_bare = _log_density(0.0 + 1.0 * self.outlier)
         self.ll = np.zeros(len(sonars))
@@ -724,7 +724,7 @@ class _SonarCones:
                      p.face_intercept + p.face_distance_slope * depth
                      + p.face_projection_slope * proj + p.face_subtended_slope * subt,
                      p.corner_intercept + p.corner_distance_slope * depth)
-        q = 1.0 / (1.0 + math_map(math.exp, -g))
+        q = 1.0 / (1.0 + np.exp(-g))
         counts = np.bincount(fc, minlength=m)
         pos = np.arange(len(fc)) - (np.cumsum(counts) - counts)[fc] + 1
         width = int(counts.max(initial=0)) + 1
@@ -734,7 +734,7 @@ class _SonarCones:
         np.multiply.accumulate(none_closer, axis=1, out=none_closer)
         r = q * none_closer[fc, pos - 1]
         z = (self.reading[cid][fc] - depth) / p.sigma
-        gauss = math_map(math.exp, -0.5 * z * z) / (p.sigma * _SQRT_2PI)
+        gauss = np.exp(-0.5 * z * z) / (p.sigma * _SQRT_2PI)
         dens = np.zeros((m, width))
         total_r = np.zeros((m, width))
         dens[fc, pos] = r * gauss
@@ -897,7 +897,7 @@ def _sweep_contact_radius_points(triples, o: SonarObs) -> float:
     farthest = 0.0
     for f, _, _ in triples:
         for pt in (f.point_a, f.point_b):
-            farthest = max(farthest, math.hypot(pt.x - o.x, pt.y - o.y))
+            farthest = max(farthest, float(np.hypot(pt.x - o.x, pt.y - o.y)))
     return min(farthest + _TOUCH_EPS, o.max_range)
 
 
@@ -944,12 +944,8 @@ class PointColorLikelihood:
 
 
 class CompositeLikelihood:
-    """Sum of several likelihood components sharing one coloring.
-
-    Stages each part in order; if any part reports an impossible post
-    state (None), already-staged parts are rolled back so every part sees
-    exactly one commit or rollback per staged edit.
-    """
+    """Sum of several likelihood components sharing one coloring; each
+    part is staged, then committed or rolled back, with the composite."""
 
     def __init__(self, parts: list):
         self.parts = list(parts)
@@ -957,15 +953,10 @@ class CompositeLikelihood:
     def log_likelihood(self) -> float:
         return sum(p.log_likelihood() for p in self.parts)
 
-    def delta_for_edit(self, col: Coloring, result) -> float | None:
+    def delta_for_edit(self, col: Coloring, result) -> float:
         total = 0.0
-        for i, part in enumerate(self.parts):
-            d = part.delta_for_edit(col, result)
-            if d is None:
-                for done in self.parts[:i]:
-                    done.rollback()
-                return None
-            total += d
+        for part in self.parts:
+            total += part.delta_for_edit(col, result)
         return total
 
     def commit(self) -> None:

@@ -285,10 +285,10 @@ def test_laser_update_in_one_pass_or_many_is_the_same(corridor_log, monkeypatch)
 
 def reference_sonar_update(g, o, p):
     """The sonar update one cell at a time: every cell of the square of side
-    2 * reach around the apex, tested with math.hypot."""
+    2 * reach around the apex, tested with np.hypot on floats."""
     grid = g.grid
     heading = o.heading + o.bearing
-    cos_half = math.cos(o.half_angle)
+    cos_half = float(np.cos(o.half_angle))
     ux, uy = unit_vector(heading)
     w = p.sonar_arc_halfwidth
     win, size = grid.window, grid.cell_size
@@ -300,7 +300,7 @@ def reference_sonar_update(g, o, p):
         y0 = win.ymin + iy * size
         cx = 0.5 * (x0 + (x0 + size)) - o.x
         cy = 0.5 * (y0 + (y0 + size)) - o.y
-        d = math.hypot(cx, cy)
+        d = float(np.hypot(cx, cy))
         if d == 0.0 or d > reach:
             continue
         if (cx * ux + cy * uy) / d < cos_half:
@@ -319,8 +319,8 @@ def reference_square_meets_band(r, o, w):
     near_y = max(r.ymin - o.y, 0.0, o.y - r.ymax)
     far_x = max(abs(r.xmin - o.x), abs(r.xmax - o.x))
     far_y = max(abs(r.ymin - o.y), abs(r.ymax - o.y))
-    return (math.hypot(near_x, near_y) <= o.range + w
-            and math.hypot(far_x, far_y) >= o.range - w)
+    return (np.hypot(near_x, near_y) <= o.range + w
+            and np.hypot(far_x, far_y) >= o.range - w)
 
 
 def random_pings(rng, grid, n):
@@ -367,10 +367,11 @@ def test_sonar_box_wholly_outside_the_window_changes_nothing():
     assert not g.logodds.any()
 
 
-def test_sonar_reach_tie_follows_math_hypot():
-    # A max-range ping whose range is math.hypot's distance to one cell
-    # centre: that cell lies exactly on the range limit and is freed.  Where
-    # np.hypot rounds that distance up, only math.hypot keeps it in the cone.
+def test_sonar_reach_tie_frees_the_cell_on_the_limit():
+    # A max-range ping whose range is np.hypot's distance to one cell
+    # centre: that cell lies exactly on the range limit and is freed.  The
+    # cell is one where math.hypot rounds that distance up, so an update
+    # that took its distances from math.hypot would leave it out.
     grid = GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.05)
     ox, oy = 0.513, 0.277
 
@@ -379,10 +380,9 @@ def test_sonar_reach_tie_follows_math_hypot():
         return 0.5 * (x0 + (x0 + 0.05)) - ox, 0.5 * (y0 + (y0 + 0.05)) - oy
 
     cells = [(ix, iy) for iy in range(20, grid.ny) for ix in range(20, grid.nx)]
-    ix, iy = next((c for c in cells
-                   if np.hypot(*offset(*c)) > math.hypot(*offset(*c))), cells[0])
+    ix, iy = next(c for c in cells if math.hypot(*offset(*c)) > np.hypot(*offset(*c)))
     cx, cy = offset(ix, iy)
-    r = math.hypot(cx, cy)
+    r = float(np.hypot(cx, cy))
     o = SonarObs(ox, oy, math.atan2(cy, cx), 0.0, math.radians(10.0), r, r, True)
     p = BaselineParams()
     got, want = OccupancyGrid(grid), OccupancyGrid(grid)

@@ -1,7 +1,12 @@
 """State-representation tests: colors by parity, incremental edits, revert."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +306,12 @@ def _square_map_obj():
     return Coloring.from_rectangles(WIN, [Rect(1.0, 1.0, 2.0, 2.0)]).to_json_obj()
 
 
+def _cross_edges_0_and_2(obj):
+    """Swap the places of the square's vertices 1 and 2: edges 0 and 2 cross."""
+    v1, v2 = obj["vertices"][1], obj["vertices"][2]
+    (v1["x"], v1["y"]), (v2["x"], v2["y"]) = (v2["x"], v2["y"]), (v1["x"], v1["y"])
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda obj: obj["vertices"].append(dict(obj["vertices"][0])), "vertex 0: duplicate id"),
     (lambda obj: obj["edges"].append(dict(obj["edges"][0])), "edge 0: duplicate id"),
@@ -310,6 +321,7 @@ def _square_map_obj():
     (lambda obj: obj["vertices"][0].update(x=5.0), "vertex 0 outside window"),
     (lambda obj: obj["vertices"][0].update(x=0.0), "vertex 0 outside window"),
     (lambda obj: obj["edges"].pop(0), "interior vertex 0 degree 1"),
+    (_cross_edges_0_and_2, "invalid map: edges 0 and 2 cross"),
 ])
 def test_json_rejects_malformed_map(corrupt, message):
     obj = _square_map_obj()
@@ -317,6 +329,23 @@ def test_json_rejects_malformed_map(corrupt, message):
     corrupt(obj)
     with pytest.raises(ValueError, match=message):
         Coloring.from_json_obj(obj)
+
+
+def test_json_map_checks_hold_under_optimize_flag():
+    # Under python -O assert statements do not run; the map checks must.
+    script = ("import json, sys\n"
+              "from prfmap.coloring import Coloring\n"
+              "try:\n"
+              "    Coloring.from_json_obj(json.loads(sys.argv[1]))\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    obj = _square_map_obj()
+    _cross_edges_0_and_2(obj)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(obj)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "invalid map: edges 0 and 2 cross\n"
 
 
 def test_clone_is_independent():

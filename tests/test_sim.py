@@ -179,7 +179,7 @@ def test_rooms_simulation_log_is_pinned(tmp_path):
     assert main(["simulate", "--world", "rooms", "--out", str(tmp_path / "sim")]) == 0
     text = (tmp_path / "sim.log").read_bytes()
     assert text.count(b"\n") > 2_688
-    assert hashlib.sha256(text).hexdigest()[:16] == "030ef2568930418f"
+    assert hashlib.sha256(text).hexdigest()[:16] == "fe5202463926ea79"
 
 
 def test_laser_readings_match_mixture_cdf():
