@@ -85,8 +85,11 @@ class Cone:
         for a in (self.heading - self.half_angle, self.heading + self.half_angle):
             xs.append(ax + r * math.cos(a))
             ys.append(ay + r * math.sin(a))
+        # abs(relative_angle(heading, ux, uy)), with the heading's unit
+        # vector taken once
+        hx, hy = unit_vector(self.heading)
         for ux, uy in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
-            if abs(relative_angle(self.heading, ux, uy)) <= self.half_angle:
+            if abs(float(np.arctan2(hx * uy - hy * ux, hx * ux + hy * uy))) <= self.half_angle:
                 xs.append(ax + r * ux)
                 ys.append(ay + r * uy)
         return min(xs), min(ys), max(xs), max(ys)
@@ -413,7 +416,7 @@ def _slabs(lo, hi, p0, d) -> tuple[np.ndarray, np.ndarray]:
     return a, tb
 
 
-def _index_ranges(lo, hi, origin: float, cell: float, n: int):
+def index_ranges(lo, hi, origin: float, cell: float, n: int):
     """:func:`_index_range` elementwise.  An empty span stays empty; its
     ends are clipped to ``[0, n]`` and ``[-1, n - 1]``."""
     tlo = (lo - origin) / cell
@@ -448,7 +451,7 @@ def grid_trace_many(ax, ay, bx, by, grid: GridSpec):
     ax, ay, dx, dy, t0, t1 = (v[seg] for v in (ax, ay, dx, dy, t0, t1))
     px0, px1 = ax + t0 * dx, ax + t1 * dx
     py0, py1 = ay + t0 * dy, ay + t1 * dy
-    ix0, ix1 = _index_ranges(pymin(px0, px1), pymax(px0, px1), win.xmin, cell, grid.nx)
+    ix0, ix1 = index_ranges(pymin(px0, px1), pymax(px0, px1), win.xmin, cell, grid.nx)
 
     # Columns: c is the segment of each, ix its index.
     c, ix = expand_counts(np.maximum(ix1 - ix0 + 1, 0), ix0)
@@ -482,7 +485,7 @@ def grid_trace_many(ax, ay, bx, by, grid: GridSpec):
     if not keep.all():
         c, ix, cx0, cx1, ylo, yhi = (v[keep] for v in (c, ix, cx0, cx1, ylo, yhi))
     del keep
-    iy0, iy1 = _index_ranges(ylo, yhi, win.ymin, cell, grid.ny)
+    iy0, iy1 = index_ranges(ylo, yhi, win.ymin, cell, grid.ny)
     del ylo, yhi
 
     # Cells: r is the column of each, s its segment, iy its row.
@@ -632,6 +635,30 @@ def relative_angle(heading: float, vx: float, vy: float) -> float:
     """Signed angle of vector v relative to a heading, in (-pi, pi]."""
     hx, hy = unit_vector(heading)
     return float(np.arctan2(hx * vy - hy * vx, hx * vx + hy * vy))
+
+
+def sector_reach(lox, loy, hix, hiy) -> np.ndarray:
+    """How far toward -x, +x, -y and +y circular sectors reach per unit of
+    radius, as a ``(4, n)`` array.
+
+    Sector k runs counter-clockwise from the unit vector ``(lox[k],
+    loy[k])`` to ``(hix[k], hiy[k])`` and spans less than pi.  Its reach in
+    an axis direction is 1 where its arc crosses that direction, else the
+    farther of its two edges, or 0 (the apex).
+    """
+    return np.array([
+        np.where((loy >= 0.0) & (hiy <= 0.0), 1.0, np.maximum(0.0, -np.minimum(lox, hix))),
+        np.where((loy <= 0.0) & (hiy >= 0.0), 1.0, np.maximum(0.0, np.maximum(lox, hix))),
+        np.where((lox <= 0.0) & (hix >= 0.0), 1.0, np.maximum(0.0, -np.minimum(loy, hiy))),
+        np.where((lox >= 0.0) & (hix <= 0.0), 1.0, np.maximum(0.0, np.maximum(loy, hiy)))])
+
+
+def sector_boxes(x, y, radius, reach, pad=0.0) -> np.ndarray:
+    """Boxes ``(xmin, xmax, ymin, ymax)``, as a ``(4, n)`` array, of the
+    sectors of :func:`sector_reach` ``reach`` with apex ``(x[k], y[k])``
+    and radius ``radius[k]``, widened by ``pad``."""
+    return np.array([x - radius * reach[0] - pad, x + radius * reach[1] + pad,
+                     y - radius * reach[2] - pad, y + radius * reach[3] + pad])
 
 
 @dataclass(frozen=True)

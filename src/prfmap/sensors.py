@@ -74,6 +74,8 @@ from .geometry import (
     pymax,
     pymin,
     ray_rect_exit,
+    sector_boxes,
+    sector_reach,
     unit_vector,
     visibility_sweep,
 )
@@ -625,20 +627,8 @@ class _SonarCones:
         self.hx, self.hy = np.cos(self.heading), np.sin(self.heading)
         self.ulox, self.uloy = np.cos(self.heading - self.beta), np.sin(self.heading - self.beta)
         self.uhix, self.uhiy = np.cos(self.heading + self.beta), np.sin(self.heading + self.beta)
-        # how far toward -x, +x, -y and +y each wedge reaches per unit of
-        # radius: 1 where its arc crosses that axis direction, else the
-        # farther of its two edges (or 0, the apex)
-        lox, loy, hix, hiy = self.ulox, self.uloy, self.uhix, self.uhiy
-        self.reach = np.array([
-            np.where((loy >= 0.0) & (hiy <= 0.0), 1.0, np.maximum(0.0, -np.minimum(lox, hix))),
-            np.where((loy <= 0.0) & (hiy >= 0.0), 1.0, np.maximum(0.0, np.maximum(lox, hix))),
-            np.where((lox <= 0.0) & (hix >= 0.0), 1.0, np.maximum(0.0, -np.minimum(loy, hiy))),
-            np.where((lox >= 0.0) & (hix <= 0.0), 1.0, np.maximum(0.0, np.maximum(loy, hiy)))])
-        r = self.max_range
-        self.box = np.array([self.sx - r * self.reach[0] - _TOUCH_EPS,
-                             self.sx + r * self.reach[1] + _TOUCH_EPS,
-                             self.sy - r * self.reach[2] - _TOUCH_EPS,
-                             self.sy + r * self.reach[3] + _TOUCH_EPS])
+        self.reach = sector_reach(self.ulox, self.uloy, self.uhix, self.uhiy)
+        self.box = sector_boxes(self.sx, self.sy, self.max_range, self.reach, _TOUCH_EPS)
         self.outlier = _sonar_outlier(self.reading,
                                       np.array([o.is_max_range for o in sonars], dtype=bool),
                                       self.max_range, p)
@@ -663,11 +653,8 @@ class _SonarCones:
         """Cache the cones' log likelihoods, truncated radii and touch boxes."""
         self.ll[idx] = ll
         self.trunc_radius[idx] = ext
-        r = ext + _TOUCH_EPS
-        self.touch_box[:, idx] = (self.sx[idx] - r * self.reach[0, idx],
-                                  self.sx[idx] + r * self.reach[1, idx],
-                                  self.sy[idx] - r * self.reach[2, idx],
-                                  self.sy[idx] + r * self.reach[3, idx])
+        self.touch_box[:, idx] = sector_boxes(self.sx[idx], self.sy[idx], ext + _TOUCH_EPS,
+                                              self.reach[:, idx])
 
     def evaluate(self, idx: np.ndarray, col: Coloring) -> tuple[np.ndarray, np.ndarray]:
         """``(ll, ext)`` of the cones ``idx`` against the coloring's live edges."""

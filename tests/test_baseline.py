@@ -82,7 +82,7 @@ def test_sonar_frees_cone_interior_and_occupies_impact_arc():
     g = OccupancyGrid(grid)
     # Ping east from (0.5, 1.5), reading 2.0, 20 degree half-angle.
     obs = SonarObs(0.5, 1.5, 0.0, 0.0, math.radians(20.0), 2.0, 3.5, False)
-    grid_update_sonar(g, obs)
+    grid_update_sonar(g, [obs])
     p = BaselineParams()
 
     def cell_at(x, y):
@@ -102,7 +102,7 @@ def test_max_range_sonar_frees_whole_cone_no_arc():
     grid = GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25)
     g = OccupancyGrid(grid)
     obs = SonarObs(0.5, 1.5, 0.0, 0.0, math.radians(20.0), 3.0, 3.5, True)
-    grid_update_sonar(g, obs)
+    grid_update_sonar(g, [obs])
     assert np.all(g.logodds <= 0.0)
     assert g.logodds.min() == -BaselineParams().sonar_free
     # The cell just inside the reading distance is freed, not marked.
@@ -114,8 +114,8 @@ def test_sonar_respects_heading_plus_bearing():
     a = OccupancyGrid(grid)
     b = OccupancyGrid(grid)
     half = math.radians(15.0)
-    grid_update_sonar(a, SonarObs(2.0, 1.5, 0.3, 0.4, half, 1.0, 3.5, False))
-    grid_update_sonar(b, SonarObs(2.0, 1.5, 0.7, 0.0, half, 1.0, 3.5, False))
+    grid_update_sonar(a, [SonarObs(2.0, 1.5, 0.3, 0.4, half, 1.0, 3.5, False)])
+    grid_update_sonar(b, [SonarObs(2.0, 1.5, 0.7, 0.0, half, 1.0, 3.5, False)])
     assert np.array_equal(a.logodds, b.logodds)
 
 
@@ -163,7 +163,7 @@ def test_sonar_arc_matches_brute_force_band_overlap():
                        math.radians(rng.uniform(5.0, 30.0)),
                        rng.uniform(0.3, 2.5), 3.5, False)
         g = OccupancyGrid(grid)
-        grid_update_sonar(g, obs)
+        grid_update_sonar(g, [obs])
         heading = obs.heading + obs.bearing
         for iy in range(grid.ny):
             for ix in range(grid.nx):
@@ -346,24 +346,79 @@ def random_pings(rng, grid, n):
                            rng.uniform(0.02, max_range), max_range, False)
 
 
-def test_sonar_update_is_bit_identical_to_scalar_definition():
+def _count_passes(monkeypatch):
+    """A list that gains the ping count of each pass of grid_update_sonar."""
+    passes = []
+    inner = prfmap.baseline._sonar_passes
+
+    def recorded(cells):
+        slices = inner(cells)
+        passes.extend(b - a for a, b in slices)
+        return slices
+
+    monkeypatch.setattr(prfmap.baseline, "_sonar_passes", recorded)
+    return passes
+
+
+def test_sonar_update_is_bit_identical_to_scalar_definition(monkeypatch):
     p = BaselineParams()
     rng = np.random.default_rng(19)
     for grid in (GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25),
                  GridSpec(Rect(-1.0, 0.5, 2.0, 2.5), 0.1)):
+        pings = list(random_pings(rng, grid, 150))
         got, want = OccupancyGrid(grid), OccupancyGrid(grid)
-        for o in random_pings(rng, grid, 150):
-            grid_update_sonar(got, o, p)
+        for o in pings:
+            grid_update_sonar(got, [o], p)
             reference_sonar_update(want, o, p)
             assert got.logodds.tobytes() == want.logodds.tobytes(), o
         assert np.count_nonzero(got.logodds) > grid.nx * grid.ny // 2
+        # All pings in one call, over many passes of several pings each.
+        monkeypatch.setattr(prfmap.baseline, "_SONAR_PASS_CELLS", 300)
+        passes = _count_passes(monkeypatch)
+        batched = OccupancyGrid(grid)
+        grid_update_sonar(batched, pings, p)
+        monkeypatch.undo()
+        assert batched.logodds.tobytes() == want.logodds.tobytes()
+        assert len(passes) > 10 and max(passes) > 3
+
+
+def test_sonar_update_in_one_pass_or_many_is_the_same(rooms_log, monkeypatch):
+    # Every budget gives the pinned rooms grid (test_rooms_baseline_is_pinned).
+    grid = GridSpec(rooms_log.window, RunConfig().cell_size)
+    for budget, many in ((1, True), (500, True), (10**9, False)):
+        monkeypatch.setattr(prfmap.baseline, "_SONAR_PASS_CELLS", budget)
+        passes = _count_passes(monkeypatch)
+        g = OccupancyGrid(grid)
+        grid_update_sonar(g, rooms_log.sonars)
+        monkeypatch.undo()
+        assert hashlib.sha256(g.logodds.tobytes()).hexdigest()[:16] == "36fa7e4268929136"
+        assert (len(passes) > 1000) if many else (passes == [len(rooms_log.sonars)])
+
+
+def test_sonar_box_holds_a_centre_on_the_sector_edge():
+    # Max-range pings due east whose range ends on the centre of cell
+    # (ix, 30): the cell lies on the sector's far edge and is freed.  For
+    # these cells, a box of cell centres taken without widening rounds to
+    # leave the cell out.
+    grid = GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.05)
+    p = BaselineParams()
+    for ix in (20, 43, 60):
+        x0, y0 = ix * 0.05, 30 * 0.05
+        cx, cy = 0.5 * (x0 + (x0 + 0.05)), 0.5 * (y0 + (y0 + 0.05))
+        r = cx - 1.0
+        o = SonarObs(1.0, cy, 0.0, 0.0, math.radians(10.0), r, r, True)
+        got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+        grid_update_sonar(got, [o], p)
+        reference_sonar_update(want, o, p)
+        assert want.logodds[30, ix] == -p.sonar_free
+        assert got.logodds.tobytes() == want.logodds.tobytes()
 
 
 def test_sonar_box_wholly_outside_the_window_changes_nothing():
     grid = GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25)
     g = OccupancyGrid(grid)
-    grid_update_sonar(g, SonarObs(-0.5, 1.5, math.pi, 0.0, 0.3, 2.0, 3.5, False))
-    grid_update_sonar(g, SonarObs(2.0, 4.0, math.pi / 2, 0.0, 0.3, 3.5, 3.5, True))
+    grid_update_sonar(g, [SonarObs(-0.5, 1.5, math.pi, 0.0, 0.3, 2.0, 3.5, False)])
+    grid_update_sonar(g, [SonarObs(2.0, 4.0, math.pi / 2, 0.0, 0.3, 3.5, 3.5, True)])
     assert not g.logodds.any()
 
 
@@ -386,7 +441,7 @@ def test_sonar_reach_tie_frees_the_cell_on_the_limit():
     o = SonarObs(ox, oy, math.atan2(cy, cx), 0.0, math.radians(10.0), r, r, True)
     p = BaselineParams()
     got, want = OccupancyGrid(grid), OccupancyGrid(grid)
-    grid_update_sonar(got, o, p)
+    grid_update_sonar(got, [o], p)
     reference_sonar_update(want, o, p)
     assert want.logodds[iy, ix] == -p.sonar_free
     assert got.logodds.tobytes() == want.logodds.tobytes()
@@ -402,7 +457,7 @@ def test_sonar_arc_band_is_closed():
         cx, cy = -2.0 + (ix + 0.5) * 0.25, -2.0 + (iy + 0.5) * 0.25
         o = SonarObs(0.0, 0.0, math.atan2(cy, cx), 0.0, 0.2, r, 3.5, False)
         got, want = OccupancyGrid(grid), OccupancyGrid(grid)
-        grid_update_sonar(got, o, p)
+        grid_update_sonar(got, [o], p)
         reference_sonar_update(want, o, p)
         assert want.logodds[iy, ix] == p.sonar_occupied
         assert got.logodds.tobytes() == want.logodds.tobytes()

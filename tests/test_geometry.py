@@ -36,6 +36,8 @@ from prfmap.geometry import (
     relative_angle,
     segment_crosses_halfopen,
     segment_min_distance,
+    sector_boxes,
+    sector_reach,
     segments_properly_intersect,
     shorter_arc_chain,
     sin_angle_between,
@@ -608,6 +610,57 @@ def test_relative_angle():
     assert relative_angle(0.0, 0.0, 1.0) == pytest.approx(math.pi / 2)
     assert relative_angle(math.pi / 2, 0.0, 1.0) == pytest.approx(0.0)
     assert relative_angle(0.0, 1.0, -1.0) == pytest.approx(-math.pi / 4)
+
+
+def reference_cone_bbox(cone):
+    """Cone.bbox as four relative_angle calls, one per axis direction."""
+    ax, ay, r = cone.apex.x, cone.apex.y, cone.max_range
+    xs, ys = [ax], [ay]
+    for a in (cone.heading - cone.half_angle, cone.heading + cone.half_angle):
+        xs.append(ax + r * math.cos(a))
+        ys.append(ay + r * math.sin(a))
+    for ux, uy in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
+        if abs(relative_angle(cone.heading, ux, uy)) <= cone.half_angle:
+            xs.append(ax + r * ux)
+            ys.append(ay + r * uy)
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def random_cones(rng, n):
+    """Cones with random headings, headings on an axis, and an arc end on
+    an axis (heading = axis angle -+ half-angle)."""
+    for _ in range(n):
+        half = rng.uniform(0.01, 1.5)
+        kind = rng.random()
+        axis = rng.randrange(-2, 3) * (math.pi / 2)
+        if kind < 0.3:
+            heading = axis
+        elif kind < 0.6:
+            heading = axis + rng.choice((-half, half))
+        else:
+            heading = rng.uniform(-math.pi, math.pi)
+        yield Cone(Point2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
+                   heading, half, rng.uniform(0.1, 5.0))
+
+
+def test_cone_bbox_is_bit_identical_to_four_relative_angles():
+    rng = random.Random(41)
+    for cone in random_cones(rng, 3_000):
+        got, want = cone.bbox(), reference_cone_bbox(cone)
+        assert [v.hex() for v in got] == [v.hex() for v in want], cone
+
+
+def test_sector_boxes_bound_the_cone_bbox():
+    # The reach-factor box of a sector is Cone.bbox up to rounding.
+    cones = list(random_cones(random.Random(43), 2_000))
+    heading = np.array([c.heading for c in cones])
+    half = np.array([c.half_angle for c in cones])
+    reach = sector_reach(np.cos(heading - half), np.sin(heading - half),
+                         np.cos(heading + half), np.sin(heading + half))
+    box = sector_boxes(np.array([c.apex.x for c in cones]), np.array([c.apex.y for c in cones]),
+                       np.array([c.max_range for c in cones]), reach)
+    want = np.array([c.bbox() for c in cones]).T     # xmin, ymin, xmax, ymax
+    assert np.allclose(box, want[[0, 2, 1, 3]], rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
