@@ -110,10 +110,10 @@ def run_posterior_chain(log: ScanLog, cfg: RunConfig, chain_index: int,
         colors = tracker.colors
         acc.add(colors.copy(), all_white_cells(col, grid, colors, traces))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     run_chain(samp, cfg.proposals, burn_in=cfg.burn_in,
               sample_every=cfg.sample_every, on_sample=on_sample)
-    return acc, samp, time.time() - t0
+    return acc, samp, time.perf_counter() - t0
 
 
 def _sample_worker(payload: tuple[str, str, int]):
@@ -174,7 +174,7 @@ def cmd_sample(cfg: RunConfig, log_path: str, out_prefix: str) -> int:
     window = _require_window(log, log_path)
     grid = GridSpec(window, cfg.cell_size)
     reports: list[str] = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     if cfg.chains == 1:
         acc, samp, elapsed = run_posterior_chain(log, cfg, 0)
         reports.append(chain_report(samp, elapsed))
@@ -197,7 +197,7 @@ def cmd_sample(cfg: RunConfig, log_path: str, out_prefix: str) -> int:
         for i, rep in enumerate(reports):
             fh.write(f"# chain {i}\n{rep}\n")
     print(f"{acc.samples} samples from {cfg.chains} chain(s) in "
-          f"{time.time() - t0:.1f}s")
+          f"{time.perf_counter() - t0:.1f}s")
     print(f"wrote {out_prefix}_black.pgm, {out_prefix}_allwhite.pgm, "
           f"{report_path}")
     return 0
@@ -211,7 +211,7 @@ def cmd_map(cfg: RunConfig, log_path: str, out_prefix: str) -> int:
     rng = np.random.default_rng([cfg.seed, 0])
     samp = Sampler(col, cfg.prior_params(), cfg.move_params(), rng, lik,
                    temperature=cfg.temperature)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if cfg.burn_in:
         run_chain(samp, cfg.burn_in)
     res = anneal(samp, cfg.anneal_proposals, t_start=cfg.t_start,
@@ -224,7 +224,7 @@ def cmd_map(cfg: RunConfig, log_path: str, out_prefix: str) -> int:
     write_pgm(out_prefix + ".pgm", truth_raster(best, grid).astype(float),
               grid)
     print(f"annealed map: {len(best.edges)} edges, best score "
-          f"{res.best_score:.3f}, {time.time() - t0:.1f}s")
+          f"{res.best_score:.3f}, {time.perf_counter() - t0:.1f}s")
     print(f"wrote {out_prefix}.json and {out_prefix}.pgm")
     return 0
 
@@ -320,12 +320,12 @@ def run_prior_statistics(cfg: RunConfig, p_values=(0.25, 0.5),
                             == pair_colors[:, :, 1]).mean(axis=1)
             samples += 1
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         run_chain(samp, cfg.proposals, burn_in=cfg.burn_in,
                   sample_every=cfg.sample_every, on_sample=on_sample)
         if progress is not None:
             progress(f"p={p}: {cfg.proposals} proposals, {samples} samples, "
-                     f"{time.time() - t0:.1f}s")
+                     f"{time.perf_counter() - t0:.1f}s")
         if samples == 0:
             raise ValueError("no samples retained; adjust proposals/burn_in")
         mean_edges = edge_sum / samples

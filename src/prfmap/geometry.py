@@ -430,15 +430,18 @@ def grid_trace_many(ax, ay, bx, by, grid: GridSpec):
     """:func:`grid_trace_with_entries` of many segments at once, bit for bit.
 
     Segment k runs from ``(ax[k], ay[k])`` to ``(bx[k], by[k])``.  Returns
-    the arrays ``(seg, ix, iy, entry)`` of every traced cell, sorted by
-    ``(seg, entry, ix, iy)``, so segment k's rows are its trace in order.
+    the arrays ``(seg, ix, iy, entry)`` of every traced cell, grouped by
+    segment in increasing ``seg``; a segment's cells come column after
+    column, each column's in increasing ``iy``.  Sorting a segment's rows
+    by ``(entry, ix, iy)`` gives its trace in order.
     The scalar trace's stages run as numpy passes: the window clip and the
     column spans over segments, the column slabs and row spans over
     columns, the row slabs and entries over cells.  Each keeps the scalar
     float operations in their order, and Python's ``max``/``min`` picks
     (:func:`pymax`, :func:`pymin`), so even the sign of a zero matches.
     Temporaries are dropped or overwritten as soon as they are used: a
-    call peaks at about 110 bytes per traced cell.
+    call peaks at about 110 bytes per traced cell, in the row slabs, and
+    returns 32.
     """
     win, cell = grid.window, grid.cell_size
     ax, ay, bx, by = (np.asarray(v, dtype=np.float64) for v in (ax, ay, bx, by))
@@ -504,12 +507,7 @@ def grid_trace_many(ax, ay, bx, by, grid: GridSpec):
     del cr
     np.copyto(e0, t0[s], where=~(e0 <= e1))
     del e1
-    seg, ix = seg[s], ix[r]
-    del r, s
-    # Cells come by segment, then column, then row: sorting by (segment,
-    # entry), stably, leaves ties in (ix, iy) order.
-    order = np.lexsort((e0, seg))
-    return seg[order], ix[order], iy[order], e0[order]
+    return seg[s], ix[r], iy, e0
 
 
 def ray_segment_intersection(origin: Point2, direction: tuple[float, float],

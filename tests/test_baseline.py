@@ -17,7 +17,8 @@ from prfmap.baseline import (
 )
 from prfmap.cli import cmd_simulate, main
 from prfmap.config import RunConfig
-from prfmap.geometry import GridSpec, Point2, Rect, Segment, grid_trace_segment, unit_vector
+from prfmap.geometry import (GridSpec, Point2, Rect, Segment, expand_counts,
+                             grid_trace_segment, grid_trace_with_entries, unit_vector)
 from prfmap.scanlog import read_scanlog
 from prfmap.sensors import LaserObs, SonarObs, beam_direction
 
@@ -242,6 +243,21 @@ def random_beams(rng, grid, n):
         yield LaserObs(x, y, heading, bearing, r, max_range, False)
 
 
+def _count_passes(monkeypatch):
+    """A list that gains the observation count of each pass of
+    grid_update_laser and grid_update_sonar."""
+    passes = []
+    inner = prfmap.baseline._passes
+
+    def recorded(cells, budget):
+        slices = inner(cells, budget)
+        passes.extend(b - a for a, b in slices)
+        return slices
+
+    monkeypatch.setattr(prfmap.baseline, "_passes", recorded)
+    return passes
+
+
 def _marks_impact(o, grid):
     marks = OccupancyGrid(grid)
     reference_laser_update(marks, o, BaselineParams(laser_free=0.0))
@@ -251,19 +267,21 @@ def _marks_impact(o, grid):
 def test_laser_update_is_bit_identical_to_scalar_definition(monkeypatch):
     # A small cell budget splits the beams over many passes.
     monkeypatch.setattr(prfmap.baseline, "_LASER_PASS_CELLS", 40)
+    passes = _count_passes(monkeypatch)
     p = BaselineParams(laser_occupied=0.7, laser_free=0.3)
     rng = np.random.default_rng(23)
     for grid in (GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25),
                  GridSpec(Rect(-1.0, 0.5, 2.0, 2.5), 0.1)):
         beams = list(random_beams(rng, grid, 400))
         got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+        passes.clear()
         grid_update_laser(got, beams, p)
         for o in beams:
             reference_laser_update(want, o, p)
         assert got.logodds.tobytes() == want.logodds.tobytes()
         # Enough beams mark an impact cell, and the budget makes many passes.
         assert sum(_marks_impact(o, grid) for o in beams) > 50
-        assert len(list(prfmap.baseline._laser_passes(beams, grid.cell_size))) > 50
+        assert len(passes) > 50
 
 
 def test_laser_update_in_one_pass_or_many_is_the_same(corridor_log, monkeypatch):
@@ -272,11 +290,69 @@ def test_laser_update_in_one_pass_or_many_is_the_same(corridor_log, monkeypatch)
     want = OccupancyGrid(grid)
     for o in beams:
         reference_laser_update(want, o, BaselineParams())
-    for budget in (1, 500, 10**9):
+    # Every budget gives the reference's grid of the first beams, and the
+    # pinned corridor grid (test_corridor_baseline_is_pinned) of them all.
+    for budget, many in ((1, True), (500, True), (10**9, False)):
         monkeypatch.setattr(prfmap.baseline, "_LASER_PASS_CELLS", budget)
         got = OccupancyGrid(grid)
         grid_update_laser(got, beams)
         assert got.logodds.tobytes() == want.logodds.tobytes()
+        passes = _count_passes(monkeypatch)
+        g = OccupancyGrid(grid)
+        grid_update_laser(g, corridor_log.lasers)
+        monkeypatch.undo()
+        assert hashlib.sha256(g.logodds.tobytes()).hexdigest()[:16] == "2c33bd4f69cb6e64"
+        assert (len(passes) > 500) if many else (passes == [len(corridor_log.lasers)])
+
+
+def ending_beams():
+    """Beams whose end point lies exactly on a cell side or a cell corner
+    inside the 4 x 3 window of unit cells, along an axis, along a cell line
+    and diagonally, each with the number of cells that share the largest
+    entry of its trace: every cell the end point touches when the beam
+    ends on a corner or runs along a cell line, else one.  Each end point
+    is checked to be exact."""
+    ends = [
+        # along an axis, then diagonally, ending on a side
+        ((2.0, 1.5), 0.0, 1), ((1.5, 2.0), math.pi / 2, 1),
+        ((3.0, 1.25), 0.3, 1), ((1.75, 1.0), -2.0, 1),
+        # along a cell line, ending inside a cell, then on a corner
+        ((2.5, 1.0), 0.0, 2), ((3.0, 1.4), math.pi / 2, 2),
+        ((2.0, 1.0), 0.0, 2), ((2.0, 1.0), -math.pi / 2, 2),
+        # diagonally, ending on a corner
+        ((2.0, 2.0), math.pi / 4, 3), ((1.0, 1.0), -3 * math.pi / 4, 3),
+        ((3.0, 2.0), 0.4, 3), ((2.0, 1.0), 2.5, 3)]
+    for (x, y), heading, tied in ends:
+        ux, uy = beam_direction(heading, 0.0)
+        r = 1.0
+        while True:
+            # A start for which start + r * u rounds to the end point.
+            sx, sy = x - r * ux, y - r * uy
+            if sx + r * ux == x and sy + r * uy == y:
+                break
+            r = math.nextafter(r, 2.0)
+        yield LaserObs(sx, sy, heading, 0.0, r, 8.0, False), tied
+
+
+def test_impact_cell_ties_go_to_the_last_cell_of_the_trace():
+    grid = grid_4x3()
+    p = BaselineParams(laser_occupied=0.7, laser_free=0.3)
+    beams = []
+    for o, tied in ending_beams():
+        ux, uy = beam_direction(o.heading, o.bearing)
+        end = Point2(o.x + o.range * ux, o.y + o.range * uy)
+        entries = [t for t, _, _ in grid_trace_with_entries(Segment(Point2(o.x, o.y), end), grid)]
+        assert entries.count(max(entries)) == tied, o
+        beams.append(o)
+        got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+        grid_update_laser(got, [o], p)
+        reference_laser_update(want, o, p)
+        assert got.logodds.tobytes() == want.logodds.tobytes(), o
+    got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+    grid_update_laser(got, beams, p)
+    for o in beams:
+        reference_laser_update(want, o, p)
+    assert got.logodds.tobytes() == want.logodds.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +422,6 @@ def random_pings(rng, grid, n):
                            rng.uniform(0.02, max_range), max_range, False)
 
 
-def _count_passes(monkeypatch):
-    """A list that gains the ping count of each pass of grid_update_sonar."""
-    passes = []
-    inner = prfmap.baseline._sonar_passes
-
-    def recorded(cells):
-        slices = inner(cells)
-        passes.extend(b - a for a, b in slices)
-        return slices
-
-    monkeypatch.setattr(prfmap.baseline, "_sonar_passes", recorded)
-    return passes
-
-
 def test_sonar_update_is_bit_identical_to_scalar_definition(monkeypatch):
     p = BaselineParams()
     rng = np.random.default_rng(19)
@@ -380,6 +442,68 @@ def test_sonar_update_is_bit_identical_to_scalar_definition(monkeypatch):
         monkeypatch.undo()
         assert batched.logodds.tobytes() == want.logodds.tobytes()
         assert len(passes) > 10 and max(passes) > 3
+
+
+def span_pings(grid):
+    """Cones with an axis heading, their apex on a cell corner, a cell side
+    or a cell centre, from narrow to the widest half-angle below pi/2."""
+    win, size = grid.window, grid.cell_size
+    x, y = win.xmin + 5 * size, win.ymin + 4 * size
+    apexes = [(x, y), (x + 0.5 * size, y), (x + 0.5 * size, y + 0.5 * size)]
+    halves = [math.radians(10.0), math.pi / 3, math.pi / 2 - 1e-6,
+              math.nextafter(math.pi / 2, 0.0)]
+    for (ax, ay), heading, half in itertools.product(
+            apexes, [k * (math.pi / 2) for k in range(-1, 3)], halves):
+        yield SonarObs(ax, ay, heading, 0.0, half, 1.3, 3.5, False)
+        yield SonarObs(ax, ay, heading, 0.0, half, 3.5, 3.5, True)
+
+
+def test_every_cone_cell_of_the_box_lies_in_its_row_span():
+    p = BaselineParams()
+    rng = np.random.default_rng(29)
+    for grid in (GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25),
+                 GridSpec(Rect(-1.0, 0.5, 2.0, 2.5), 0.1)):
+        pings = list(random_pings(rng, grid, 300)) + list(span_pings(grid))
+        slack = p.sonar_arc_halfwidth + math.sqrt(0.5) * grid.cell_size
+        k = prfmap.baseline._sonar_pings(pings, grid, p, slack)
+        rp, iy = expand_counts(np.maximum(k.iy1 - k.iy0 + 1, 0), k.iy0)
+        c0, c1 = prfmap.baseline._row_spans(k, rp, iy, grid)
+        # every box cell of every (ping, row) pair, and the cone test on it
+        row, ix = expand_counts(np.maximum(k.ix1 - k.ix0 + 1, 0)[rp], k.ix0[rp])
+        ping, win, size = rp[row], grid.window, grid.cell_size
+        x0, y0 = win.xmin + ix * size, win.ymin + iy[row] * size
+        cx = 0.5 * (x0 + (x0 + size)) - k.x[ping]
+        cy = 0.5 * (y0 + (y0 + size)) - k.y[ping]
+        d = np.hypot(cx, cy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos_off = (cx * k.ux[ping] + cy * k.uy[ping]) / d
+        cone = (d <= k.reach[ping]) & (cos_off >= k.cos_half[ping])
+        spanned = (c0[row] <= ix) & (ix <= c1[row])
+        assert spanned[cone].all()
+        # Wide cones take whole box rows; the others leave out about half
+        # the box cells.
+        assert k.wide.sum() == 48 and spanned[k.wide[ping]].all()
+        assert spanned[~k.wide[ping]].mean() < 0.6
+        got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+        for o in span_pings(grid):
+            grid_update_sonar(got, [o], p)
+            reference_sonar_update(want, o, p)
+            assert got.logodds.tobytes() == want.logodds.tobytes(), o
+
+
+def test_cone_too_narrow_for_a_float_slope_takes_whole_rows():
+    # Half-angles of 1e-309 about a heading of 1.5e-309, from an apex on a
+    # row's centre line: the triangle's edges rise by subnormal amounts, so
+    # their dx/dy overflow, yet the cells ahead on that row are in the cone.
+    grid = GridSpec(Rect(-1.0, -1.125, 3.0, 1.875), 0.25)
+    p = BaselineParams()
+    for max_range in (False, True):
+        o = SonarObs(0.0, 0.0, 1.5e-309, 0.0, 1e-309, 1.3, 3.5, max_range)
+        got, want = OccupancyGrid(grid), OccupancyGrid(grid)
+        grid_update_sonar(got, [o], p)
+        reference_sonar_update(want, o, p)
+        assert np.count_nonzero(want.logodds) >= 5
+        assert got.logodds.tobytes() == want.logodds.tobytes()
 
 
 def test_sonar_update_in_one_pass_or_many_is_the_same(rooms_log, monkeypatch):

@@ -419,10 +419,14 @@ def scalar_trace_rows(segs, grid):
 
 
 def trace_many_rows(segs, grid):
-    """One grid_trace_many call over all the segments, as the same rows."""
+    """One grid_trace_many call over all the segments, as the same rows:
+    its cells, which come by segment, then column, then row, sorted by
+    (segment, entry, ix, iy)."""
     ends = np.array([(a.x, a.y, b.x, b.y) for a, b in segs], dtype=np.float64).reshape(-1, 4)
     seg, ix, iy, entry = grid_trace_many(*ends.T, grid)
-    return list(zip(seg.tolist(), [t.hex() for t in entry.tolist()], ix.tolist(), iy.tolist()))
+    assert np.array_equal(np.lexsort((iy, ix, seg)), np.arange(len(seg)))
+    rows = sorted(zip(seg.tolist(), entry.tolist(), ix.tolist(), iy.tolist()))
+    return [(k, t.hex(), i, j) for k, t, i, j in rows]
 
 
 def structured_segments(rng, grid, n):
