@@ -188,8 +188,7 @@ def _sonar_pings(sonars: Sequence[SonarObs], grid: GridSpec, p: BaselineParams,
     the cells whose centre lies in its sector's box, widened by ``pad``.
     Its triangle has the apex and the points ``reach / cos(half_angle)``
     along both edges of the wedge, so the arc's middle tangent closes it.
-    A ping is wide when its half-angle exceeds ``_SPAN_MAX_HALF`` or an edge
-    of its triangle is too nearly level for a float slope."""
+    A ping is wide when its half-angle exceeds ``_SPAN_MAX_HALF``."""
     win, size = grid.window, grid.cell_size
     x = np.array([o.x for o in sonars], dtype=np.float64)
     y = np.array([o.y for o in sonars], dtype=np.float64)
@@ -216,11 +215,12 @@ def _sonar_pings(sonars: Sequence[SonarObs], grid: GridSpec, p: BaselineParams,
     tx, ty = np.take_along_axis(tx, order, 0), np.take_along_axis(ty, order, 0)
     # dx/dy of the edges from the lowest vertex to the highest, from the
     # lowest to the middle one and from the middle one to the highest; 0
-    # on a level edge, inf on one too nearly level for a float slope
+    # on a level edge.  With a half-angle of at least EPS_ANGLE
+    # (check_half_angle) an edge that is not level rises by far more than
+    # dx / 1e308, so every slope is finite.
     dx, dy = tx[[2, 1, 2]] - tx[[0, 0, 1]], ty[[2, 1, 2]] - ty[[0, 0, 1]]
-    with np.errstate(over="ignore"):
-        slope = np.divide(dx, dy, out=np.zeros_like(dx), where=dy > 0.0)
-    wide = (half > _SPAN_MAX_HALF) | ~np.isfinite(slope).all(axis=0)
+    slope = np.divide(dx, dy, out=np.zeros_like(dx), where=dy > 0.0)
+    wide = half > _SPAN_MAX_HALF
     slope[:, wide] = 0.0     # their rows are whole; this keeps their x finite
     return _Pings(
         x, y, np.cos(heading), np.sin(heading), cos_half, r, max_range, reach,

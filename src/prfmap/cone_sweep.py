@@ -1,13 +1,18 @@
 """Visibility sweeps of many cones at once, as numpy passes.
 
 :func:`cone_features` finds, for a group of cones and their candidate
-edges, the features :func:`geometry.visibility_sweep` finds in each cone:
-faces and corners with their depth, projection and subtended angles and
-angular interval, in the sweep's order, bit for bit, without building a
-:class:`geometry.VisibleFeature`.  Each step of the sweep runs over
-flattened (cone, edge), (cone, event interval, edge) and (corner, edge)
-arrays with the scalar code's float operations in its order.  Python's
-``max``/``min`` picks are kept, so even the sign of a zero matches.
+edges, the faces and corners visible in each cone, with their depth,
+projection and subtended angles and angular interval, in depth order.  It
+is the one sweep of the package: :func:`sensors.visibility_sweep` picks the
+candidates and calls it for the chain's likelihoods, the simulator and
+``sensors.sonar_features``.
+
+Each step of the sweep runs over flattened (cone, edge), (cone, event
+interval, edge) and (corner, edge) arrays.  Its oracle is the scalar sweep
+of one cone in ``tests/reference.py`` (``visibility_sweep``), which the
+batch matches bit for bit: every step keeps that code's float operations in
+their order and Python's ``max``/``min`` picks, so even the sign of a zero
+matches.  The docstrings below name the scalar function each step follows.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ def first_of_runs(*keys) -> np.ndarray:
 
 
 def _rel_angle(hx, hy, vx, vy) -> np.ndarray:
-    """:func:`geometry.relative_angle` for headings with unit vector (hx, hy)."""
+    """The reference ``relative_angle`` for headings with unit vector (hx, hy)."""
     return np.arctan2(hx * vy - hy * vx, hx * vx + hy * vy)
 
 
@@ -60,7 +65,7 @@ def ray_hits(ox, oy, dx, dy, ax, ay, bx, by):
 
 
 def wedge_clip(px, py, ulox, uloy, uhix, uhiy, ax, ay, dx, dy):
-    """:func:`geometry._clip_to_wedge` of the segments ``a + t * d`` against
+    """The reference ``_clip_to_wedge`` of the segments ``a + t * d`` against
     the wedges, over arrays: ``(t0, t1, inside)``, t0 and t1 meaningful
     where ``inside``.  Python's ``max``/``min`` picks are kept, so even the
     sign of a zero matches."""
@@ -82,7 +87,7 @@ def wedge_clip(px, py, ulox, uloy, uhix, uhiy, ax, ay, dx, dy):
 
 
 def _lenient_hits(ox, oy, dx, dy, ax, ay, bx, by):
-    """``(ok, t)`` of :func:`geometry._ray_hit_lenient`: ok where it is not
+    """``(ok, t)`` of the reference ``_ray_hit_lenient``: ok where it is not
     None, t its value there."""
     denom, t, u = _ray_params(ox, oy, dx, dy, ax, ay, bx, by)
     ok = (denom != 0.0) & ~(t < -EPS_GEOM) & ~(u < -1e-6) & ~(u > 1.0 + 1e-6)
@@ -90,7 +95,7 @@ def _lenient_hits(ox, oy, dx, dy, ax, ay, bx, by):
 
 
 def _clip_to_range(pax, pay, pbx, pby, ox, oy, rng):
-    """:func:`geometry._clip_subsegment_to_range` over arrays:
+    """The reference ``_clip_subsegment_to_range`` over arrays:
     ``(qax, qay, qbx, qby, ok)``, ok where it is not None.
 
     A piece of zero length (``a == 0``) is reported not ok: the scalar keeps
@@ -113,7 +118,7 @@ def _clip_to_range(pax, pay, pbx, pby, ox, oy, rng):
 
 
 def _projection_angles(ox, oy, pax, pay, pbx, pby) -> np.ndarray:
-    """:func:`geometry._projection_angle` over arrays."""
+    """The reference ``_projection_angle`` over arrays."""
     ex, ey = pbx - pax, pby - pay
     L2 = ex * ex + ey * ey
     t = pymin(1.0, pymax(0.0, ((ox - pax) * ex + (oy - pay) * ey) / L2))
@@ -139,6 +144,18 @@ class ConeRows(NamedTuple):
     uhiy: np.ndarray
 
 
+class Features(NamedTuple):
+    """Visible faces and corners, one entry each, cone by cone in depth order."""
+    c: np.ndarray           # the cone's row
+    kind: np.ndarray        # 0 face, 1 corner
+    depth: np.ndarray       # distance from the apex
+    proj: np.ndarray        # projection angle (faces; 0 for corners)
+    subt: np.ndarray        # subtended angle (faces; 0 for corners)
+    alo: np.ndarray         # angular interval about the heading
+    ahi: np.ndarray
+    far: np.ndarray         # distance of the farther end
+
+
 class EdgePairs(NamedTuple):
     """(cone, edge) pairs: the cone's row, the edge's id and its two ends."""
     c: np.ndarray
@@ -153,8 +170,9 @@ class EdgePairs(NamedTuple):
 
 
 def _clipped(g: ConeRows, e: EdgePairs) -> tuple[EdgePairs, np.ndarray, np.ndarray]:
-    """:func:`visibility_sweep`'s first loop: the pairs whose edge has a
-    piece in the wedge within range, and the piece's angles ``(lo, hi)``."""
+    """The reference ``visibility_sweep``'s first loop: the pairs whose edge
+    has a piece in the wedge within range, and the piece's angles
+    ``(lo, hi)``."""
     px, py = g.cx[e.c], g.cy[e.c]
     dx, dy = e.bx - e.ax, e.by - e.ay
     t0, t1, inside = wedge_clip(px, py, g.ulox[e.c], g.uloy[e.c], g.uhix[e.c], g.uhiy[e.c],
@@ -172,7 +190,7 @@ def _clipped(g: ConeRows, e: EdgePairs) -> tuple[EdgePairs, np.ndarray, np.ndarr
 
 
 def _runs(g: ConeRows, e: EdgePairs, lo, hi) -> tuple[EdgePairs, np.ndarray, np.ndarray]:
-    """The sweep of :func:`_sweep_faces`: runs of consecutive event intervals
+    """The sweep of the reference ``_sweep_faces``: runs of consecutive event intervals
     whose midpoint ray first meets the same clipped edge, as that edge and
     the run's first and last angle."""
     # event angles: {-beta, beta} and every clipped lo, hi, sorted; of equal
@@ -214,7 +232,7 @@ def _runs(g: ConeRows, e: EdgePairs, lo, hi) -> tuple[EdgePairs, np.ndarray, np.
 
 
 def _run_faces(g: ConeRows, e: EdgePairs, r0, r1):
-    """The rest of :func:`_sweep_faces`, each run's face as feature columns:
+    """The rest of the reference ``_sweep_faces``, each run's face as feature columns:
     lenient hits at the run's ends, the range clip, the zero-width drop and
     the projection angle."""
     c = e.c
@@ -232,7 +250,7 @@ def _run_faces(g: ConeRows, e: EdgePairs, r0, r1):
     a0, a1 = np.where(swap, a1, a0), np.where(swap, a0, a1)
     qax, qbx = np.where(swap, qbx, qax), np.where(swap, qax, qbx)
     qay, qby = np.where(swap, qby, qay), np.where(swap, qay, qby)
-    # a face subtending no angle reflects nothing (see _sweep_faces)
+    # a face subtending no angle reflects nothing (see the reference _sweep_faces)
     k = np.flatnonzero(ok0 & ok1 & ok & ~(depth > g.rng[c])
                        & ~(a1 - a0 <= ZERO_WIDTH_FACE_TOL))
     qax, qay, qbx, qby, ox, oy, c, depth, a0, a1 = (
@@ -245,7 +263,7 @@ def _run_faces(g: ConeRows, e: EdgePairs, r0, r1):
 
 
 def _corners(g: ConeRows, e: EdgePairs):
-    """:func:`geometry._corner_features` as feature columns."""
+    """The reference ``_corner_features`` as feature columns."""
     # each vertex once per cone, owned by its first edge in id order
     vc = np.repeat(e.c, 2)
     vx = np.stack((e.ax, e.bx), axis=1).ravel()
@@ -272,15 +290,13 @@ def _corners(g: ConeRows, e: EdgePairs):
             alpha[k], alpha[k], d[k])
 
 
-def cone_features(g: ConeRows, e: EdgePairs):
-    """The features :func:`geometry.visibility_sweep` finds in each cone of
-    ``g`` among its candidate edges ``e`` (pairs ordered by cone, then edge
-    id), as columns in the sweep's order, cone by cone: cone row, kind (0
-    face, 1 corner), depth, projection and subtended angles, angular
-    interval and the distance of the feature's farther end."""
+def cone_features(g: ConeRows, e: EdgePairs) -> Features:
+    """The features each cone of ``g`` sees among its candidate edges ``e``
+    (pairs ordered by cone, then edge id), cone by cone in the reference
+    sweep's order: by depth, faces before corners, then by edge id."""
     faces = _run_faces(g, *_runs(g, *_clipped(g, e)))
     fc, kind, fsid, depth, proj, subt, alo, ahi, far = (
         np.concatenate(v) for v in zip(faces, _corners(g, e)))
     # ties keep faces before corners, as the sweep lists them
     order = np.lexsort((np.arange(len(fc)), alo, fsid, kind, depth, fc))
-    return tuple(v[order] for v in (fc, kind, depth, proj, subt, alo, ahi, far))
+    return Features(*(v[order] for v in (fc, kind, depth, proj, subt, alo, ahi, far)))

@@ -18,7 +18,7 @@ from typing import get_type_hints
 from .baseline import BaselineParams
 from .moves import INVERSE_KIND, KIND_ORDER, MoveParams, default_weights
 from .prior import PriorParams
-from .sensors import LaserParams, SonarParams
+from .sensors import LaserParams, SonarParams, check_half_angle
 
 ENV_CONFIG_PATH = "PRFMAP_CONFIG"
 _W = default_weights()  # the defaults of RunConfig.weight_*
@@ -126,9 +126,7 @@ class RunConfig:
                      "point_grid_nx", "point_grid_ny"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if not 0.0 < self.sonar_half_angle < math.pi / 2:
-            raise ValueError(f"sonar_half_angle must be in (0, pi/2), "
-                             f"got {self.sonar_half_angle!r}")
+        check_half_angle("sonar_half_angle", self.sonar_half_angle)
         weights = self.move_weights()
         if any(w < 0.0 for w in weights.values()):
             raise ValueError("move weights must be nonnegative")

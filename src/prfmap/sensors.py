@@ -16,10 +16,11 @@ Three observation families condition the coloring posterior:
 Any observation model reports -inf when its sensor sits in occupied
 (black) space.  Laser beams are cast by :func:`cast_beams`, one numpy pass
 of beams x live edges in increasing edge id, wherever beams are evaluated
-(one beam or many).  A single sonar cone (:func:`sonar_features`, used by
-the simulator) is swept by :func:`visibility_sweep` over the edges whose
-box meets :meth:`Cone.bbox`, widened by ``_TOUCH_EPS``.  Both read the
-coloring's edge table.
+(one beam or many).  Sonar cones are swept by :func:`visibility_sweep`,
+which picks each cone's candidate edges and runs
+:func:`cone_sweep.cone_features` over many cones at once, wherever cones
+are evaluated: the chain's likelihoods, the simulator's rings and the
+one-cone :func:`sonar_features`.  Both read the coloring's edge table.
 
 :class:`ObservationCache` binds a log's laser and sonar observations to a
 chain through one array-backed part per family (:class:`_LaserBeams`,
@@ -31,14 +32,15 @@ on the pairs that meet, and re-evaluates the touched observations together.
 An edit that changes the color of any sensor position has likelihood zero
 and returns -inf before anything is evaluated.  No cell index is kept.
 
-The batched paths give the scalar functions' results bit for bit: numpy
+The batched paths give the results of the scalar reference functions in
+``tests/reference.py`` (one beam or one cone at a time) bit for bit: numpy
 arithmetic runs the scalar's operations in the scalar's order, and a
 likelihood delta or a total is summed left to right, as a Python loop adds,
 not by numpy's pairwise ``sum``.
 
 Transcendental functions have one source.  Every array path and every
 scalar function it is tested against (here, in :mod:`cone_sweep`,
-:mod:`geometry`'s sweep and :mod:`baseline`) takes ``cos``, ``sin``,
+:mod:`baseline` and the reference) takes ``cos``, ``sin``,
 ``arctan2``, ``hypot``, ``arcsin``, ``exp``, ``expm1`` and ``log`` from
 numpy, on arrays and on floats alike, since numpy's SIMD loops may round
 differently from :mod:`math`.  Scalar code with no batched twin (the
@@ -53,31 +55,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import BLACK, Coloring, changed_points
+from .coloring import Coloring, changed_points
 from .cone_sweep import (
     ConeRows,
     EdgePairs,
+    Features,
     cone_features,
     first_of_runs,
     ray_hits,
     wedge_clip,
 )
 from .geometry import (
+    EPS_ANGLE,
     ZERO_WIDTH_FACE_TOL,
-    Cone,
     Point2,
     Rect,
-    Segment,
-    VisibleFeature,
     grid_trace_segment,  # noqa: F401  (unused; perfbench/layers.py patches this name)
     point_segment_distance_batch,
     pymax,
     pymin,
-    ray_rect_exit,
     sector_boxes,
     sector_reach,
     unit_vector,
-    visibility_sweep,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -128,8 +127,19 @@ class SonarObs:
     def __post_init__(self):
         if not (0.0 < self.range <= self.max_range):
             raise ValueError(f"sonar range {self.range} outside (0, {self.max_range}]")
-        if not (0.0 < self.half_angle < math.pi / 2):
-            raise ValueError("sonar half_angle must be in (0, pi/2)")
+        check_half_angle("sonar half_angle", self.half_angle)
+
+
+def check_half_angle(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``EPS_ANGLE <= value < pi/2``.
+
+    A cone narrower than the floor has no use as a sonar model, and below
+    about 1e-8 rad the occupancy-grid baseline's cone test (a cosine against
+    ``cos(half_angle)``, which rounds to 1) passes cell centres outside the
+    ping's box.
+    """
+    if not EPS_ANGLE <= value < math.pi / 2:
+        raise ValueError(f"{name} must be in [{EPS_ANGLE!r}, pi/2), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -209,16 +219,6 @@ class SonarParams:
         if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
             raise ValueError("outlier weights must be nonnegative and sum to 1")
 
-    def independent_return_probability(self, f: VisibleFeature) -> float:
-        if f.kind == "corner":
-            g = self.corner_intercept + self.corner_distance_slope * f.depth
-        else:
-            g = (self.face_intercept
-                 + self.face_distance_slope * f.depth
-                 + self.face_projection_slope * f.projection_angle
-                 + self.face_subtended_slope * f.subtended_angle)
-        return 1.0 / (1.0 + float(np.exp(-g)))
-
 
 # ---------------------------------------------------------------------------
 # scalar density helpers
@@ -229,11 +229,6 @@ def _log_density(dens):
     with np.errstate(divide="ignore", invalid="ignore"):
         ll = np.where(dens > 0.0, np.log(dens), -math.inf)
     return ll if ll.ndim else float(ll)
-
-
-def _gauss_pdf(x: float, mu: float, sigma: float) -> float:
-    z = (x - mu) / sigma
-    return float(np.exp(-0.5 * z * z)) / (sigma * _SQRT_2PI)
 
 
 def beam_direction(heading: float, bearing: float) -> tuple[float, float]:
@@ -247,19 +242,12 @@ def beam_directions(angle) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angle), np.sin(angle)
 
 
-def beam_cap(col: Coloring, origin: Point2, direction: tuple[float, float],
-             max_range: float) -> float:
-    """Distance a beam can reach: the window exit, capped at ``max_range``.
-
-    The window boundary itself is a viewing frame, not an obstacle.
-    """
-    return min(ray_rect_exit(origin, direction, col.window), max_range)
-
-
 def beam_caps(window: Rect, sx, sy, dirx, diry, max_range) -> np.ndarray:
-    """:func:`beam_cap` of many beams at once, bit for bit: the divisions of
-    :func:`ray_rect_exit` as numpy passes, with Python's ``min``/``max``
-    picks (so a beam leaving from the window edge keeps its signed zero)."""
+    """Distance each beam can reach: its window exit, capped at
+    ``max_range``.  The window boundary itself is a viewing frame, not an
+    obstacle.  Python's ``min``/``max`` picks are kept, so a beam leaving
+    from the window edge keeps its signed zero, as the reference
+    ``beam_cap`` does."""
     t = np.full(len(sx), math.inf)
     for d, s, lo, hi in ((dirx, sx, window.xmin, window.xmax),
                          (diry, sy, window.ymin, window.ymax)):
@@ -310,37 +298,20 @@ def laser_true_distance(col: Coloring, origin: Point2,
                         max_range: float) -> tuple[float, int | None]:
     """Predicted impact distance for a beam and the edge hit, if any.
 
-    The beam is cast against the coloring's edges; with no hit the
-    :func:`beam_cap` distance stands in.
+    The beam is cast against the coloring's edges; with no hit its
+    :func:`beam_caps` distance stands in.
     """
-    cap = beam_cap(col, origin, direction, max_range)
-    t, eid = cast_beams(col, [origin.x], [origin.y], [direction[0]],
-                        [direction[1]], [cap])
+    ox, oy, dx, dy = (np.array([v], dtype=np.float64) for v in (*origin, *direction))
+    t, eid = cast_beams(col, ox, oy, dx, dy,
+                        beam_caps(col.window, ox, oy, dx, dy, max_range))
     return float(t[0]), (int(eid[0]) if eid[0] >= 0 else None)
-
-
-def laser_log_likelihood(o: LaserObs, col: Coloring, p: LaserParams) -> float:
-    origin = Point2(o.x, o.y)
-    if col.color_at(origin) == BLACK:
-        return -math.inf
-    d_star, _ = laser_true_distance(col, origin, beam_direction(o.heading, o.bearing),
-                                    o.max_range)
-    return _laser_density_log(o.range, o.is_max_range, d_star, o.max_range, p)
-
-
-def _laser_density_log(r: float, flagged: bool, d_star: float,
-                       max_range: float, p: LaserParams) -> float:
-    dens = (p.w_gauss * _gauss_pdf(r, d_star, p.sigma(d_star))
-            + p.w_uniform / max_range)
-    if flagged:
-        dens += p.w_maxrange
-    return _log_density(dens)
 
 
 def _laser_density_log_batch(r: np.ndarray, flagged: np.ndarray, d_star: np.ndarray,
                              max_range: np.ndarray, p: LaserParams) -> np.ndarray:
-    """:func:`_laser_density_log` of each reading, bit for bit: the
-    scalar's arithmetic, operation by operation."""
+    """The log density of each reading: the laser mixture about the
+    predicted distance, with the reference ``_laser_density_log``'s
+    arithmetic, operation by operation."""
     sigma = np.maximum(p.sigma_frac * d_star, p.sigma_floor)
     z = (r - d_star) / sigma
     gauss = np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
@@ -352,38 +323,6 @@ def _laser_density_log_batch(r: np.ndarray, flagged: np.ndarray, d_star: np.ndar
 # sonar model
 
 
-def sonar_cone(o: SonarObs) -> Cone:
-    return Cone(Point2(o.x, o.y), o.heading + o.bearing, o.half_angle, o.max_range)
-
-
-def return_probabilities(features: list[VisibleFeature],
-                         params: SonarParams) -> list[tuple[VisibleFeature, float, float]]:
-    """Attach (independent q, exclusive r) to depth-sorted features.
-
-    The exclusive return probability discounts each feature by the chance
-    that no *closer* feature already produced the return:
-    ``r_f = q_f * prod_(g closer) (1 - r_g)``, so the r values always sum
-    to at most 1.
-    """
-    out = []
-    none_closer = 1.0
-    for f in features:
-        q = params.independent_return_probability(f)
-        r = q * none_closer
-        none_closer *= 1.0 - q
-        out.append((f, q, r))
-    return out
-
-
-def sonar_features(o: SonarObs, col: Coloring,
-                   params: SonarParams) -> list[tuple[VisibleFeature, float, float]]:
-    """Visible features in the cone with their return probabilities."""
-    cone = sonar_cone(o)
-    cands = [(eid, col.segment_of(eid))
-             for eid in col.edges_near_bbox(*cone.bbox(), pad=_TOUCH_EPS)]
-    return return_probabilities(visibility_sweep(cands, cone), params)
-
-
 def _sonar_outlier(r, flagged, max_range, p: SonarParams):
     """Density of reading ``r`` when no feature produced the return; the
     arguments are floats or arrays of one entry per reading."""
@@ -393,29 +332,125 @@ def _sonar_outlier(r, flagged, max_range, p: SonarParams):
     return np.where(flagged, outlier + p.w_maxrange, outlier)
 
 
-def _sonar_density_log(r: float, flagged: bool,
-                       triples: list[tuple[VisibleFeature, float, float]],
-                       max_range: float, p: SonarParams) -> float:
-    dens = 0.0
-    total_r = 0.0
-    for f, _, rf in triples:
-        dens += rf * _gauss_pdf(r, f.depth, p.sigma)
-        total_r += rf
-    dens += (1.0 - total_r) * float(_sonar_outlier(r, flagged, max_range, p))
-    return _log_density(dens)
+class Cones:
+    """Sonar cones as arrays, one entry each: apex ``(sx, sy)``, heading and
+    its unit vector ``(hx, hy)``, half-angle ``beta``, ``max_range``, the
+    wedge's bounding unit vectors ``(ulox, uloy)`` and ``(uhix, uhiy)``, the
+    sector's :func:`sector_reach` and its box at full range (``box``),
+    widened by ``_TOUCH_EPS`` so that rounding never makes it smaller than
+    the sector."""
+
+    def __init__(self, x, y, heading, beta, max_range):
+        self.sx, self.sy, self.heading, self.beta, self.max_range = (
+            np.asarray(v, dtype=np.float64) for v in (x, y, heading, beta, max_range))
+        self.hx, self.hy = np.cos(self.heading), np.sin(self.heading)
+        self.ulox, self.uloy = np.cos(self.heading - self.beta), np.sin(self.heading - self.beta)
+        self.uhix, self.uhiy = np.cos(self.heading + self.beta), np.sin(self.heading + self.beta)
+        self.reach = sector_reach(self.ulox, self.uloy, self.uhix, self.uhiy)
+        self.box = sector_boxes(self.sx, self.sy, self.max_range, self.reach, _TOUCH_EPS)
+
+    def rows(self, cid) -> ConeRows:
+        """The constants of the cones ``cid``, one row each."""
+        return ConeRows(*(v[cid] for v in (self.sx, self.sy, self.heading, self.hx, self.hy,
+                                           self.beta, self.max_range, self.ulox, self.uloy,
+                                           self.uhix, self.uhiy)))
 
 
-def sonar_log_likelihood(o: SonarObs, col: Coloring, p: SonarParams) -> float:
-    if col.color_at(Point2(o.x, o.y)) == BLACK:
-        return -math.inf
-    return _sonar_eval(o, col, p)[0]
+def visibility_sweep(cones: Cones, idx, col: Coloring) -> Features:
+    """The faces and corners that each cone ``idx[k]`` sees among the
+    coloring's live edges, with ``c = k``, cone by cone in depth order.
+
+    A cone's features depend only on the edges that meet its sector, taken
+    in increasing id: the id order breaks ties in ``(t, id)`` and names the
+    owner of a shared corner, and any edge a sight line inside the sector
+    reaches meets the sector.  So any superset of those edges gives the same
+    features.  The candidates are the live edges whose box meets the cone's
+    ``box``.  The cones that have one go through
+    :func:`cone_sweep.cone_features` in groups whose (cone, interval, edge)
+    triples, at most n (2 n + 1) for a cone with n candidates, stay near
+    ``_CAST_BLOCK``.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    eids, ax, ay, bx, by = col.live_edges()
+    if not len(idx) or not len(eids):
+        return _no_features()
+    # candidate (cone, edge) pairs, cone by cone in increasing edge id
+    exlo, exhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    eylo, eyhi = np.minimum(ay, by), np.maximum(ay, by)
+    rows, cols = [], []
+    step = max(1, _CAST_BLOCK // len(eids))
+    for first in range(0, len(idx), step):
+        xlo, xhi, ylo, yhi = (v[:, None] for v in cones.box[:, idx[first:first + step]])
+        r, e = np.nonzero((exlo <= xhi) & (exhi >= xlo) & (eylo <= yhi) & (eyhi >= ylo))
+        rows.append(r + first)
+        cols.append(e)
+    row, edge = np.concatenate(rows), np.concatenate(cols)
+    n = np.bincount(row, minlength=len(idx))
+    seen = np.flatnonzero(n)
+    cost = n[seen] * (2 * n[seen] + 1)
+    group = (np.cumsum(cost) - cost) // _CAST_BLOCK
+    end = np.cumsum(n[seen])
+    starts = np.flatnonzero(first_of_runs(group))
+    out = []
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(seen)]):
+        c = seen[lo:hi]
+        e = edge[int(end[lo] - n[c[0]]):int(end[hi - 1])]
+        pairs = EdgePairs(np.repeat(np.arange(hi - lo), n[c]), eids[e], ax[e], ay[e],
+                          bx[e], by[e])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f = cone_features(cones.rows(idx[c]), pairs)
+        out.append(f._replace(c=c[f.c]))
+    if not out:
+        return _no_features()
+    return out[0] if len(out) == 1 else Features(*(np.concatenate(v) for v in zip(*out)))
 
 
-def _sonar_eval(o: SonarObs, col: Coloring, p: SonarParams) -> tuple[float, float]:
-    """(log likelihood, sensitivity radius) of a cone whose sensor is free."""
-    triples = sonar_features(o, col, p)
-    ll = _sonar_density_log(o.range, o.is_max_range, triples, o.max_range, p)
-    return ll, _sweep_contact_radius_points(triples, o)
+def _no_features() -> Features:
+    none = np.empty(0, dtype=np.int64)
+    return Features(none, none, *(np.empty(0) for _ in range(6)))
+
+
+def _columns(c: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """The column of each entry in an ``(m, width)`` table of rows ``c``
+    (sorted), the entries of a row from column 1 in order, and the width;
+    column 0 is left free."""
+    counts = np.bincount(c, minlength=m)
+    return np.arange(len(c)) - (np.cumsum(counts) - counts)[c] + 1, int(counts.max(initial=0)) + 1
+
+
+def exclusive_returns(f: Features, m: int, p: SonarParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each feature's exclusive return probability ``r``, and its
+    :func:`_columns` column and the width, for the features of ``m`` cones.
+
+    A feature returns the ping on its own with the logistic probability
+    ``q`` of :class:`SonarParams` in its coordinates.  The exclusive return
+    probability discounts it by the chance that no closer feature of its
+    cone returned: ``r = q * (1 - q_1) * (1 - q_2) * ...``, the product
+    taken left to right in depth order (``multiply.accumulate`` along each
+    cone's row), so the r values of a cone sum to at most 1.
+    """
+    pos, width = _columns(f.c, m)
+    g = np.where(f.kind == 0,
+                 p.face_intercept + p.face_distance_slope * f.depth
+                 + p.face_projection_slope * f.proj + p.face_subtended_slope * f.subt,
+                 p.corner_intercept + p.corner_distance_slope * f.depth)
+    with np.errstate(over="ignore"):
+        q = 1.0 / (1.0 + np.exp(-g))
+    # none_closer[:, k]: the chance that none of features 0..k-1 returned
+    none_closer = np.ones((m, width))
+    none_closer[f.c, pos] = 1.0 - q
+    np.multiply.accumulate(none_closer, axis=1, out=none_closer)
+    return q * none_closer[f.c, pos - 1], pos, width
+
+
+def sonar_features(o: SonarObs, col: Coloring,
+                   params: SonarParams) -> tuple[Features, np.ndarray]:
+    """The features visible in one ping's cone, in depth order, and each
+    one's exclusive return probability: :func:`visibility_sweep` of one
+    cone."""
+    f = visibility_sweep(Cones([o.x], [o.y], [o.heading + o.bearing], [o.half_angle],
+                               [o.max_range]), [0], col)
+    return f, exclusive_returns(f, 1, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +468,6 @@ def _orient(ox, oy, px, py, qx, qy):
     return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
 
 
-def _seg_batch_min_dist(ax, ay, bx, by, seg: Segment) -> np.ndarray:
-    """Min distance between segments (a[i], b[i]) and a fixed segment."""
-    sax, say = seg.a
-    sbx, sby = seg.b
-    d1 = _orient(sax, say, sbx, sby, ax, ay)
-    d2 = _orient(sax, say, sbx, sby, bx, by)
-    d3 = _orient(ax, ay, bx, by, np.float64(sax), np.float64(say))
-    d4 = _orient(ax, ay, bx, by, np.float64(sbx), np.float64(sby))
-    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) \
-        & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
-
-    d = np.minimum(
-        np.minimum(point_segment_distance_batch(ax, ay, sax, say, sbx, sby),
-                   point_segment_distance_batch(bx, by, sax, say, sbx, sby)),
-        np.minimum(point_segment_distance_batch(sax, say, ax, ay, bx, by),
-                   point_segment_distance_batch(sbx, sby, ax, ay, bx, by)))
-    d[proper] = 0.0
-    return d
-
-
 # A pair of segments that do not cross properly is within _TOUCH_EPS only if
 # an endpoint of one lies within _TOUCH_EPS of the other segment, hence of its
 # line: |orient| = L * (line distance) <= _TOUCH_EPS * L, with L the length of
@@ -468,8 +483,10 @@ _NEAR_LINE = 2.0 * _TOUCH_EPS
 def _segments_touch(ax, ay, bx, by, cx, cy, ex, ey) -> np.ndarray:
     """Whether segments (a[i], b[i]) and (c[i], e[i]) lie within _TOUCH_EPS.
 
-    Pair by pair the same decision as ``_seg_batch_min_dist(...) <=
-    _TOUCH_EPS``, with its operations, except that the four point-segment
+    Pair by pair the same decision as the reference
+    ``_seg_batch_min_dist(...) <= _TOUCH_EPS``, with its operations (the
+    proper-crossing test, then the least of the four endpoint-to-segment
+    distances), except that the four point-segment
     distances are taken only where an endpoint lies near the other
     segment's line (see ``_NEAR_LINE``).
     """
@@ -499,9 +516,9 @@ def _wedge_clip_distance(px, py, ulox, uloy, uhix, uhiy, seg) -> np.ndarray:
     """Apex distance of the piece of seg inside each wedge; inf if none.
 
     Wedge i has apex (px[i], py[i]) and bounding unit vectors u_lo[i],
-    u_hi[i].  This is :func:`geometry._clip_to_wedge` followed by the
-    apex-to-piece distance that :func:`visibility_sweep` compares with the
-    range, done with the same float operations over all wedges at once.
+    u_hi[i].  This is the wedge clip of :func:`visibility_sweep`
+    (:func:`cone_sweep.wedge_clip`) followed by the apex-to-piece distance
+    that the sweep compares with the range, with the same float operations.
     The coordinates of ``seg`` may also be arrays, one segment per wedge.
     """
     (ax, ay), (bx, by) = seg
@@ -531,10 +548,10 @@ def _boxes_meet(box, ax, ay, bx, by):
 class _LaserBeams:
     """Laser beams as arrays, evaluated and touch-tested many at a time.
 
-    :meth:`evaluate` gives each beam the log likelihood of
-    :func:`laser_log_likelihood` bit for bit and its extent, the impact
-    distance: one :func:`cast_beams` call against caps (window exit or max
-    range) computed once, then :func:`_laser_density_log_batch`.
+    :meth:`evaluate` gives each beam its log likelihood, equal to the scalar
+    laser likelihood of ``tests/reference.py`` bit for bit, and its extent,
+    the impact distance: one :func:`cast_beams` call against caps (window
+    exit or max range) computed once, then :func:`_laser_density_log_batch`.
 
     :meth:`touched` runs the exact test (:func:`_segments_touch`) on the
     pairs whose boxes meet.  A beam's touch box is its ``[sensor, impact]``
@@ -588,51 +605,39 @@ class _LaserBeams:
                                   np.maximum(sy, iy) + _TOUCH_EPS)
 
 
-class _SonarCones:
+class _SonarCones(Cones):
     """Sonar pings as arrays, evaluated many cones at a time.
 
-    :meth:`evaluate` gives each cone the ``(log likelihood, sensitivity
-    radius)`` of :func:`_sonar_eval`, bit for bit, without building a
-    :class:`VisibleFeature`: :func:`cone_sweep.cone_features` does the
-    sweep and the depth sort, and :func:`return_probabilities`,
-    :func:`_sonar_density_log` and :func:`_sweep_contact_radius_points` run
-    as numpy passes over the features, with the scalar code's float
-    operations in its order, and products and sums taken left to right
-    (``multiply``/``add.accumulate`` along each cone's row).
-
-    A cone's features depend only on the edges that meet its sector, taken
-    in increasing id: the id order breaks ties in ``(t, id)`` and names the
-    owner of a shared corner, and any edge a sight line inside the sector
-    reaches meets the sector.  So any superset of those edges gives the same
-    features.  The batch takes the live edges whose box meets the cone's
-    sector box at full range (``box``), widened by ``_TOUCH_EPS`` so that
-    rounding never makes it smaller than the sector; the scalar path takes
-    the edges whose box meets :meth:`Cone.bbox`, widened likewise.
+    :meth:`evaluate` gives each cone its ``(log likelihood, sensitivity
+    radius)``: :func:`visibility_sweep` finds the features, then the
+    density (:meth:`_density_log`) and the contact radius
+    (:func:`_contact_radius`) run as numpy passes over them.  Both equal the
+    scalar sonar likelihood and contact radius of ``tests/reference.py`` bit
+    for bit: they keep its float operations in its order, and take its
+    products and sums left to right (``multiply``/``add.accumulate`` along
+    each cone's row).
 
     :meth:`touched` runs the wedge clip (:func:`_wedge_clip_distance`) on
     the pairs whose boxes meet.  A touching segment has a point in the wedge
     within the truncated radius (``trunc_radius``) plus ``_TOUCH_EPS`` of the
-    apex, so a cone's touch box bounds its sector of that radius (as
-    :meth:`Cone.bbox` bounds a sector), and every touched pair's boxes meet.
+    apex, so a cone's touch box bounds its sector of that radius, and every
+    touched pair's boxes meet.
     """
 
     def __init__(self, sonars: list[SonarObs], p: SonarParams):
+        # each list becomes an array before the next is built, so that only
+        # one is alive at a time
+        super().__init__(np.array([o.x for o in sonars], dtype=np.float64),
+                         np.array([o.y for o in sonars], dtype=np.float64),
+                         np.array([o.heading + o.bearing for o in sonars], dtype=np.float64),
+                         np.array([o.half_angle for o in sonars], dtype=np.float64),
+                         np.array([o.max_range for o in sonars], dtype=np.float64))
         self.p = p
-        self.sx = np.array([o.x for o in sonars], dtype=np.float64)
-        self.sy = np.array([o.y for o in sonars], dtype=np.float64)
-        self.heading = np.array([o.heading + o.bearing for o in sonars], dtype=np.float64)
-        self.beta = np.array([o.half_angle for o in sonars], dtype=np.float64)
-        self.max_range = np.array([o.max_range for o in sonars], dtype=np.float64)
         self.reading = np.array([o.range for o in sonars], dtype=np.float64)
-        self.hx, self.hy = np.cos(self.heading), np.sin(self.heading)
-        self.ulox, self.uloy = np.cos(self.heading - self.beta), np.sin(self.heading - self.beta)
-        self.uhix, self.uhiy = np.cos(self.heading + self.beta), np.sin(self.heading + self.beta)
-        self.reach = sector_reach(self.ulox, self.uloy, self.uhix, self.uhiy)
-        self.box = sector_boxes(self.sx, self.sy, self.max_range, self.reach, _TOUCH_EPS)
         self.outlier = _sonar_outlier(self.reading,
                                       np.array([o.is_max_range for o in sonars], dtype=bool),
                                       self.max_range, p)
-        # a cone that sees nothing: _sonar_density_log of no feature
+        # a cone that sees nothing: the density of no feature
         self.ll_bare = _log_density(0.0 + 1.0 * self.outlier)
         self.ll = np.zeros(len(sonars))
         self.trunc_radius = np.zeros(len(sonars))
@@ -659,97 +664,55 @@ class _SonarCones:
     def evaluate(self, idx: np.ndarray, col: Coloring) -> tuple[np.ndarray, np.ndarray]:
         """``(ll, ext)`` of the cones ``idx`` against the coloring's live edges."""
         idx = np.asarray(idx, dtype=np.int64)
-        eids, ax, ay, bx, by = col.live_edges()
-        ll = self.ll_bare[idx]
-        ext = self.max_range[idx]
-        if not len(idx) or not len(eids):
-            return ll, ext
-        # candidate (cone, edge) pairs, cone by cone in increasing edge id
-        exlo, exhi = np.minimum(ax, bx), np.maximum(ax, bx)
-        eylo, eyhi = np.minimum(ay, by), np.maximum(ay, by)
-        rows, cols = [], []
-        step = max(1, _CAST_BLOCK // len(eids))
-        for first in range(0, len(idx), step):
-            xlo, xhi, ylo, yhi = (v[:, None] for v in self.box[:, idx[first:first + step]])
-            r, e = np.nonzero((exlo <= xhi) & (exhi >= xlo) & (eylo <= yhi) & (eyhi >= ylo))
-            rows.append(r + first)
-            cols.append(e)
-        row, edge = np.concatenate(rows), np.concatenate(cols)
-        n = np.bincount(row, minlength=len(idx))
-        seen = np.flatnonzero(n)
-        # Cones in groups whose (cone, interval, edge) triples, at most
-        # n * (2 n + 1) for a cone with n candidates, stay near _CAST_BLOCK.
-        cost = n[seen] * (2 * n[seen] + 1)
-        group = (np.cumsum(cost) - cost) // _CAST_BLOCK
-        end = np.cumsum(n[seen])
-        starts = np.flatnonzero(first_of_runs(group))
-        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(seen)]):
-            cones = seen[lo:hi]
-            e = edge[int(end[lo] - n[cones[0]]):int(end[hi - 1])]
-            pairs = EdgePairs(np.repeat(np.arange(hi - lo), n[cones]), eids[e], ax[e], ay[e],
-                           bx[e], by[e])
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ll[cones], ext[cones] = self._sweep(idx[cones], pairs)
-        return ll, ext
+        f = visibility_sweep(self, idx, col)
+        if not len(f.c):
+            return self.ll_bare[idx], self.max_range[idx]
+        return (self._density_log(idx, f),
+                _contact_radius(f, self.beta[idx], self.max_range[idx]))
 
-    def _sweep(self, cid, e: EdgePairs) -> tuple[np.ndarray, np.ndarray]:
-        """``(ll, ext)`` of the cones ``cid``, whose candidate edges are
-        ``e`` (rows index ``cid``)."""
-        g = ConeRows(*(v[cid] for v in (self.sx, self.sy, self.heading, self.hx, self.hy,
-                                        self.beta, self.max_range, self.ulox, self.uloy,
-                                        self.uhix, self.uhiy)))
-        fc, kind, depth, proj, subt, alo, ahi, far = cone_features(g, e)
-        return (self._density_log(cid, fc, kind, depth, proj, subt),
-                _contact_radius(fc, kind, alo, ahi, far, g.beta, g.rng))
-
-    def _density_log(self, cid, fc, kind, depth, proj, subt) -> np.ndarray:
-        """:func:`return_probabilities` and :func:`_sonar_density_log` over
-        the features, sorted cone by cone in depth order."""
+    def _density_log(self, cid, f: Features) -> np.ndarray:
+        """The log density of each cone's reading: the Gaussian about each
+        feature's depth weighted by its :func:`exclusive_returns`, plus the
+        outlier density weighted by the rest."""
         p = self.p
         m = len(cid)
-        g = np.where(kind == 0,
-                     p.face_intercept + p.face_distance_slope * depth
-                     + p.face_projection_slope * proj + p.face_subtended_slope * subt,
-                     p.corner_intercept + p.corner_distance_slope * depth)
-        q = 1.0 / (1.0 + np.exp(-g))
-        counts = np.bincount(fc, minlength=m)
-        pos = np.arange(len(fc)) - (np.cumsum(counts) - counts)[fc] + 1
-        width = int(counts.max(initial=0)) + 1
-        # none_closer[:, k]: the chance that none of features 0..k-1 returned
-        none_closer = np.ones((m, width))
-        none_closer[fc, pos] = 1.0 - q
-        np.multiply.accumulate(none_closer, axis=1, out=none_closer)
-        r = q * none_closer[fc, pos - 1]
-        z = (self.reading[cid][fc] - depth) / p.sigma
+        r, pos, width = exclusive_returns(f, m, p)
+        z = (self.reading[cid][f.c] - f.depth) / p.sigma
         gauss = np.exp(-0.5 * z * z) / (p.sigma * _SQRT_2PI)
         dens = np.zeros((m, width))
         total_r = np.zeros((m, width))
-        dens[fc, pos] = r * gauss
-        total_r[fc, pos] = r
+        dens[f.c, pos] = r * gauss
+        total_r[f.c, pos] = r
         return _log_density(np.add.accumulate(dens, axis=1)[:, -1]
                             + (1.0 - np.add.accumulate(total_r, axis=1)[:, -1])
                             * self.outlier[cid])
 
 
-def _contact_radius(fc, kind, alo, ahi, far, beta, rng) -> np.ndarray:
-    """:func:`_sweep_contact_radius_points` of each cone, given its features
-    sorted by cone."""
+def _contact_radius(f: Features, beta, rng) -> np.ndarray:
+    """Sensitivity radius of each cone given its features.
+
+    Full angular coverage by faces bounds sensitivity at the farthest
+    visible point, plus ``_TOUCH_EPS``; any gap leaves it at max range.
+    The gap tolerance must not exceed the width below which the sweep
+    suppresses faces: a crack wider than the suppression threshold can host
+    a reportable face, so it must force max-range sensitivity.
+    """
     m = len(beta)
+    fc, alo, ahi = f.c, f.alo, f.ahi
     # faces in (lo, hi) order; the reach before each is the running max of
     # -beta and the his before it
-    f = np.flatnonzero(kind == 0)
-    f = f[np.lexsort((ahi[f], alo[f], fc[f]))]
-    counts = np.bincount(fc[f], minlength=m)
-    pos = np.arange(len(f)) - (np.cumsum(counts) - counts)[fc[f]] + 1
-    reach = np.full((m, int(counts.max(initial=0)) + 1), -np.inf)
+    k = np.flatnonzero(f.kind == 0)
+    k = k[np.lexsort((ahi[k], alo[k], fc[k]))]
+    pos, width = _columns(fc[k], m)
+    reach = np.full((m, width), -np.inf)
     reach[:, 0] = -beta
-    reach[fc[f], pos] = ahi[f]
+    reach[fc[k], pos] = ahi[k]
     np.maximum.accumulate(reach, axis=1, out=reach)
     tol = ZERO_WIDTH_FACE_TOL
     gap = reach[:, -1] < beta - tol
-    gap[fc[f][alo[f] > reach[fc[f], pos - 1] + tol]] = True
+    gap[fc[k][alo[k] > reach[fc[k], pos - 1] + tol]] = True
     farthest = np.zeros(m)
-    np.maximum.at(farthest, fc, far)
+    np.maximum.at(farthest, fc, f.far)
     return np.where(gap, rng, pymin(farthest + _TOUCH_EPS, rng))
 
 
@@ -769,9 +732,9 @@ class ObservationCache:
     part's touched observations and stages them; ``commit`` stores the
     staging and ``rollback`` drops it.
 
-    Every cached value equals the scalar functions' bit for bit
-    (``laser_log_likelihood``, ``sonar_log_likelihood``).  Observations are
-    numbered lasers first, then sonars; the cached total, a delta and a
+    Every cached value equals the scalar likelihoods of
+    ``tests/reference.py`` bit for bit.  Observations are numbered lasers
+    first, then sonars; the cached total, a delta and a
     :meth:`recompute_total` are all summed left to right in that order.
 
     The construction-time coloring must give every sensor a free (white)
@@ -860,32 +823,6 @@ def _running_sum(*arrays: np.ndarray) -> float:
     """``0.0 + a[0] + a[1] + ...`` over the arrays in turn, left to right,
     as a Python loop adds."""
     return float(np.cumsum(np.concatenate(([0.0], *arrays)))[-1])
-
-
-def _sweep_contact_radius_points(triples, o: SonarObs) -> float:
-    """Sensitivity radius of a cone given its visible features.
-
-    Full angular coverage by faces bounds sensitivity at the farthest
-    visible point; any gap leaves it at max range.  The gap tolerance must
-    not exceed the width below which the sweep suppresses faces: a crack
-    wider than the suppression threshold can host a reportable face, so it
-    must force max-range sensitivity.
-    """
-    tol = ZERO_WIDTH_FACE_TOL
-    intervals = sorted((f.angle_lo, f.angle_hi) for f, _, _ in triples
-                       if f.kind == "face")
-    reach = -o.half_angle
-    for lo, hi in intervals:
-        if lo > reach + tol:
-            return o.max_range
-        reach = max(reach, hi)
-    if reach < o.half_angle - tol:
-        return o.max_range
-    farthest = 0.0
-    for f, _, _ in triples:
-        for pt in (f.point_a, f.point_b):
-            farthest = max(farthest, float(np.hypot(pt.x - o.x, pt.y - o.y)))
-    return min(farthest + _TOUCH_EPS, o.max_range)
 
 
 # ---------------------------------------------------------------------------

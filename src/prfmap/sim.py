@@ -14,20 +14,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import sensors
 from .coloring import BLACK, Coloring
 from .geometry import Point2, Rect, cell_centers, point_segment_distance_batch
 from .sensors import (
+    Cones,
     LaserObs,
     LaserParams,
     PointColorObs,
     SonarObs,
     SonarParams,
     beam_caps,
-    beam_direction,
     beam_directions,
     cast_beams,
-    laser_true_distance,
-    sonar_features,
+    exclusive_returns,
 )
 
 # ---------------------------------------------------------------------------
@@ -201,21 +201,11 @@ def world_trajectories(name: str) -> list[TrajectorySpec]:
 # scan simulation
 
 
-def simulate_laser_beam(col: Coloring, x: float, y: float, heading: float,
-                        bearing: float, spec: LaserScanSpec, params: LaserParams,
-                        rng: np.random.Generator) -> LaserObs:
-    origin = _free_pose(col, x, y, "laser")
-    d_star, _ = laser_true_distance(col, origin, beam_direction(heading, bearing),
-                                    spec.max_range)
-    return _draw_laser_obs(x, y, heading, bearing, d_star, spec, params, rng)
-
-
 def simulate_laser_scan(col: Coloring, x: float, y: float, heading: float,
                         spec: LaserScanSpec, params: LaserParams,
                         rng: np.random.Generator) -> list[LaserObs]:
     """One reading per bearing; the beams are cast in one ``cast_beams`` pass
-    and the readings drawn in bearing order, as ``simulate_laser_beam``
-    would draw them one beam at a time."""
+    and the readings drawn in bearing order (:func:`_draw_laser_obs`)."""
     _free_pose(col, x, y, "laser")
     bearings = spec.bearings()
     sx, sy = (np.full(len(bearings), v, dtype=np.float64) for v in (x, y))
@@ -261,21 +251,20 @@ def _draw_truncated_exponential(rate: float, max_range: float,
     return min(max(r, 1e-12), max_range)
 
 
-def simulate_sonar_ping(col: Coloring, x: float, y: float, heading: float,
-                        bearing: float, spec: SonarRingSpec, params: SonarParams,
-                        rng: np.random.Generator) -> SonarObs:
-    _free_pose(col, x, y, "sonar")
-    obs_probe = SonarObs(x, y, heading, bearing, spec.half_angle,
-                         spec.max_range, spec.max_range, True)
-    triples = sonar_features(obs_probe, col, params)
+def _draw_sonar_obs(x: float, y: float, heading: float, bearing: float,
+                    depth: list[float], returns: list[float], spec: SonarRingSpec,
+                    params: SonarParams, rng: np.random.Generator) -> SonarObs:
+    """A reading drawn from the sonar mixture: feature k of the cone, at
+    ``depth[k]`` in depth order, returns with its exclusive return
+    probability ``returns[k]``; with the rest, the outlier component does."""
     u = rng.random()
     acc = 0.0
-    for f, _, rf in triples:
+    for d, rf in zip(depth, returns):
         acc += rf
         if u < acc:
-            r = f.depth + params.sigma * rng.standard_normal()
+            r = d + params.sigma * rng.standard_normal()
             while r <= 0.0:
-                r = f.depth + params.sigma * rng.standard_normal()
+                r = d + params.sigma * rng.standard_normal()
             if r >= spec.max_range:
                 return SonarObs(x, y, heading, bearing, spec.half_angle,
                                 spec.max_range, spec.max_range, True)
@@ -300,8 +289,22 @@ def simulate_sonar_ping(col: Coloring, x: float, y: float, heading: float,
 def simulate_sonar_ring(col: Coloring, x: float, y: float, heading: float,
                         spec: SonarRingSpec, params: SonarParams,
                         rng: np.random.Generator) -> list[SonarObs]:
-    return [simulate_sonar_ping(col, x, y, heading, b, spec, params, rng)
-            for b in spec.bearings()]
+    """One reading per transducer; the ring's cones are swept in one
+    :func:`sensors.visibility_sweep` call and the readings drawn in bearing
+    order (:func:`_draw_sonar_obs`)."""
+    _free_pose(col, x, y, "sonar")
+    bearings = spec.bearings()
+    n = len(bearings)
+    cones = Cones(np.full(n, x), np.full(n, y), heading + bearings,
+                  np.full(n, spec.half_angle), np.full(n, spec.max_range))
+    # looked up on the module, so that a wrapper set there sees the sweep
+    f = sensors.visibility_sweep(cones, np.arange(n), col)
+    returns = exclusive_returns(f, n, params)[0].tolist()
+    depth = f.depth.tolist()
+    ends = np.cumsum(np.bincount(f.c, minlength=n)).tolist()
+    return [_draw_sonar_obs(x, y, heading, b, depth[lo:hi], returns[lo:hi], spec,
+                            params, rng)
+            for b, lo, hi in zip(bearings, [0, *ends], ends)]
 
 
 def simulate_trajectory(col: Coloring, traj: TrajectorySpec,

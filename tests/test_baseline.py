@@ -6,6 +6,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 import prfmap.baseline
 from prfmap.baseline import (
@@ -17,10 +18,11 @@ from prfmap.baseline import (
 )
 from prfmap.cli import cmd_simulate, main
 from prfmap.config import RunConfig
-from prfmap.geometry import (GridSpec, Point2, Rect, Segment, expand_counts,
+from prfmap.geometry import (EPS_ANGLE, GridSpec, Point2, Rect, Segment, expand_counts,
                              grid_trace_segment, grid_trace_with_entries, unit_vector)
-from prfmap.scanlog import read_scanlog
+from prfmap.scanlog import parse_scanlog, read_scanlog
 from prfmap.sensors import LaserObs, SonarObs, beam_direction
+from reference import index_spans
 
 
 def grid_4x3() -> GridSpec:
@@ -370,7 +372,7 @@ def reference_sonar_update(g, o, p):
     win, size = grid.window, grid.cell_size
     slack = w + math.sqrt(0.5) * size
     reach = o.range if o.is_max_range else o.range + slack
-    ix0, ix1, iy0, iy1 = grid.index_spans(o.x - reach, o.y - reach, o.x + reach, o.y + reach)
+    ix0, ix1, iy0, iy1 = index_spans(grid, o.x - reach, o.y - reach, o.x + reach, o.y + reach)
     for ix, iy in itertools.product(range(ix0, ix1 + 1), range(iy0, iy1 + 1)):
         x0 = win.xmin + ix * size
         y0 = win.ymin + iy * size
@@ -491,18 +493,29 @@ def test_every_cone_cell_of_the_box_lies_in_its_row_span():
             assert got.logodds.tobytes() == want.logodds.tobytes(), o
 
 
-def test_cone_too_narrow_for_a_float_slope_takes_whole_rows():
-    # Half-angles of 1e-309 about a heading of 1.5e-309, from an apex on a
-    # row's centre line: the triangle's edges rise by subnormal amounts, so
-    # their dx/dy overflow, yet the cells ahead on that row are in the cone.
-    grid = GridSpec(Rect(-1.0, -1.125, 3.0, 1.875), 0.25)
+def test_cone_narrower_than_the_floor_is_rejected():
+    # Below about 1e-8 rad the cone test passes centres outside the ping's
+    # box: this max-range ping freed 4 cells under reference_sonar_update
+    # and none under grid_update_sonar.  Such a ping now fails at
+    # construction, and a log naming it fails at its line.
+    y = 1.625 - 1e-8
+    with pytest.raises(ValueError, match="half_angle must be in"):
+        SonarObs(0.0, y, 0.0, 0.0, 1e-9, 2.0, 2.0, True)
+    with pytest.raises(ValueError, match="half_angle must be in"):
+        SonarObs(0.0, y, 0.0, 0.0, math.nextafter(EPS_ANGLE, 0.0), 2.0, 2.0, True)
+    with pytest.raises(ValueError, match=r"^line 4: sonar half_angle must be in"):
+        parse_scanlog(f"# scanlog v1\n# window 0 0 4 3\n# sonar_max_range 2.0\n"
+                      f"SONAR 0 0.0 {y!r} 0.0 0.0 1e-09 2.0 1\n")
+    # a ping at the floor is kept, and the batch frees the cells the
+    # scalar definition frees, about the heading and just off it
+    grid = GridSpec(Rect(0.0, 0.0, 4.0, 3.0), 0.25)
     p = BaselineParams()
-    for max_range in (False, True):
-        o = SonarObs(0.0, 0.0, 1.5e-309, 0.0, 1e-309, 1.3, 3.5, max_range)
+    for heading in (0.0, EPS_ANGLE, -0.5 * EPS_ANGLE):
+        o = SonarObs(0.0, y, heading, 0.0, EPS_ANGLE, 2.0, 2.0, True)
         got, want = OccupancyGrid(grid), OccupancyGrid(grid)
         grid_update_sonar(got, [o], p)
         reference_sonar_update(want, o, p)
-        assert np.count_nonzero(want.logodds) >= 5
+        assert np.count_nonzero(want.logodds) >= 4
         assert got.logodds.tobytes() == want.logodds.tobytes()
 
 

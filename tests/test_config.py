@@ -108,7 +108,7 @@ def test_validation_rejects_bad_ranges():
     ("sim_cell_size", "0"), ("relocate_radius", "-1"),
     ("boundary_slide_delta", "-1"), ("kink_area", "0"),
     ("laser_max_range", "-1"), ("sonar_max_range", "0"),
-    ("sonar_half_angle", "3"), ("laser_beams", "0"),
+    ("sonar_half_angle", "3"), ("sonar_half_angle", "1e-9"), ("laser_beams", "0"),
     ("sonar_transducers", "0"), ("point_sigma", "0"),
     ("baseline_sonar_arc_halfwidth", "-1"), ("point_grid_ny", "-3"),
     ("laser_w_uniform", "0"), ("sonar_w_uniform", "0"),

@@ -3,7 +3,9 @@
 Oracles here are written independently of the library code: the supercover
 oracle enumerates grid cells and tests closed rectangle/segment overlap from
 the definition, the ray oracle solves the 2x2 system per edge, and the
-visibility oracle casts dense fans of rays.
+visibility oracle casts dense fans of rays.  The visibility sweep checked
+here is the scalar one of ``tests/reference.py``, itself the oracle of the
+package's batched sweep.
 """
 
 import math
@@ -15,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prfmap.geometry import (
-    Cone,
     GridSpec,
     Point2,
     Rect,
@@ -31,9 +32,7 @@ from prfmap.geometry import (
     grid_trace_segment,
     grid_trace_with_entries,
     point_segment_distance,
-    ray_rect_exit,
     ray_segment_intersection,
-    relative_angle,
     segment_crosses_halfopen,
     segment_min_distance,
     sector_boxes,
@@ -42,6 +41,13 @@ from prfmap.geometry import (
     shorter_arc_chain,
     sin_angle_between,
     unit_vector,
+)
+from reference import (
+    Cone,
+    cell_of,
+    index_spans,
+    ray_rect_exit,
+    relative_angle,
     visibility_sweep,
 )
 
@@ -533,7 +539,7 @@ def test_index_spans_match_bruteforce():
     for _ in range(200):
         x0, x1 = sorted((rng.uniform(-0.3, 2.3), rng.uniform(-0.3, 2.3)))
         y0, y1 = sorted((rng.uniform(-0.3, 1.8), rng.uniform(-0.3, 1.8)))
-        ix0, ix1, iy0, iy1 = grid.index_spans(x0, y0, x1, y1)
+        ix0, ix1, iy0, iy1 = index_spans(grid, x0, y0, x1, y1)
         got = {(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)}
         want = set()
         for ix in range(grid.nx):
@@ -547,9 +553,9 @@ def test_index_spans_match_bruteforce():
 def test_gridspec_counts_and_cell_of():
     grid = GridSpec(Rect(0.0, 0.0, 8.0, 6.0), 0.05)
     assert grid.nx == 160 and grid.ny == 120
-    assert grid.cell_of(Point2(0.0, 0.0)) == (0, 0)
-    assert grid.cell_of(Point2(8.0, 6.0)) == (159, 119)
-    assert grid.cell_of(Point2(0.07, 0.11)) == (1, 2)
+    assert cell_of(grid, Point2(0.0, 0.0)) == (0, 0)
+    assert cell_of(grid, Point2(8.0, 6.0)) == (159, 119)
+    assert cell_of(grid, Point2(0.07, 0.11)) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

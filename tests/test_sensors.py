@@ -8,8 +8,10 @@ Oracles used here, written independently of the implementation:
   hand-computed values;
 - from-scratch recomputation of cached likelihood totals after a chain
   of accepted edits;
-- the scalar sweep (``visibility_sweep``, ``_sonar_eval``) for the batched
-  cone evaluation, value for value by ``float.hex``.
+- the scalar reference functions of ``tests/reference.py`` (the sweep of
+  one cone ``visibility_sweep``, ``_sonar_eval``, ``laser_log_likelihood``,
+  ``sonar_log_likelihood``, ``beam_cap``) for the batched beam and cone
+  evaluation, value for value by ``float.hex``.
 """
 
 import dataclasses
@@ -25,27 +27,25 @@ import prfmap.sensors
 from prfmap.cli import main
 from prfmap.coloring import BLACK, INTERIOR, Coloring, Edit
 from prfmap.config import RunConfig
-from prfmap.geometry import (Point2, Rect, Segment, VisibleFeature,
-                             _clip_to_wedge, _point_at,
-                             point_segment_distance, ray_rect_exit,
-                             ray_segment_intersection, unit_vector,
-                             visibility_sweep)
+from prfmap.geometry import (Point2, Rect, Segment, point_segment_distance,
+                             ray_segment_intersection, unit_vector)
 from prfmap.grid_index import EdgeGridIndex
 from prfmap.moves import MoveParams
 from prfmap.prior import PriorParams
 from prfmap.sampler import Sampler, run_chain
 from prfmap.sensors import (_TOUCH_EPS, CompositeLikelihood, LaserObs,
-                            LaserParams, _laser_density_log,
-                            _laser_density_log_batch,
-                            _seg_batch_min_dist, _sonar_density_log, _sonar_eval,
-                            _LaserBeams, _SonarCones, _sweep_contact_radius_points,
-                            _wedge_clip_distance,
-                            ObservationCache, beam_cap, beam_caps, cast_beams,
+                            LaserParams, _laser_density_log_batch,
+                            _LaserBeams, _SonarCones, _wedge_clip_distance,
+                            ObservationCache, beam_caps, cast_beams,
                             PointColorLikelihood, PointColorObs, SonarObs,
-                            SonarParams, beam_direction, laser_log_likelihood,
-                            laser_true_distance, return_probabilities,
-                            sonar_cone, sonar_features, sonar_log_likelihood)
+                            SonarParams, beam_direction, laser_true_distance)
 from prfmap.sim import SonarRingSpec, WorldSpec, make_world
+from reference import (VisibleFeature, _clip_to_wedge, _laser_density_log, _point_at,
+                       _seg_batch_min_dist, _sonar_density_log, _sonar_eval,
+                       _sweep_contact_radius_points, beam_cap,
+                       independent_return_probability, laser_log_likelihood,
+                       ray_rect_exit, return_probabilities, sonar_cone, sonar_features,
+                       sonar_log_likelihood, visibility_sweep)
 
 WINDOW = Rect(0.0, 0.0, 4.0, 3.0)
 
@@ -358,12 +358,13 @@ def test_laser_params_validation():
 
 
 class _FixedQ:
-    """Stands in for SonarParams with preset per-feature probabilities."""
+    """Stands in for the logistic return model with preset per-feature
+    probabilities."""
 
     def __init__(self, by_depth):
         self.by_depth = dict(by_depth)
 
-    def independent_return_probability(self, f):
+    def __call__(self, params, f):
         return self.by_depth[f.depth]
 
 
@@ -376,7 +377,7 @@ def _feature(depth, kind="face"):
 
 def test_return_probabilities_hand_case():
     feats = [_feature(1.0), _feature(2.0)]
-    trips = return_probabilities(feats, _FixedQ({1.0: 0.5, 2.0: 0.8}))
+    trips = return_probabilities(feats, None, _FixedQ({1.0: 0.5, 2.0: 0.8}))
     assert [q for _, q, _ in trips] == [0.5, 0.8]
     assert trips[0][2] == pytest.approx(0.5)
     assert trips[1][2] == pytest.approx(0.4)  # 0.8 * (1 - 0.5)
@@ -384,7 +385,7 @@ def test_return_probabilities_hand_case():
 
 def test_return_probabilities_saturate_at_one():
     feats = [_feature(1.0), _feature(2.0), _feature(3.0)]
-    trips = return_probabilities(feats,
+    trips = return_probabilities(feats, None,
                                  _FixedQ({1.0: 0.5, 2.0: 0.8, 3.0: 1.0}))
     assert sum(r for _, _, r in trips) == pytest.approx(1.0)
 
@@ -393,7 +394,7 @@ def test_return_probabilities_saturate_at_one():
                 max_size=8))
 def test_return_probabilities_total(qs):
     feats = [_feature(float(i + 1)) for i in range(len(qs))]
-    trips = return_probabilities(feats,
+    trips = return_probabilities(feats, None,
                                  _FixedQ({float(i + 1): q
                                           for i, q in enumerate(qs)}))
     rs = [r for _, _, r in trips]
@@ -415,7 +416,7 @@ def test_face_head_on_at_one_meter_is_strong_reflector():
     f = _feature(1.0)  # perpendicular viewing, 0.05 rad subtended
     f = VisibleFeature("face", 1, f.point_a, f.point_b, 1.0, math.pi / 2.0,
                        math.radians(10.0), -0.05, 0.05)
-    q = p.independent_return_probability(f)
+    q = independent_return_probability(p, f)
     assert q == pytest.approx(0.95, abs=0.005)
 
 
@@ -424,7 +425,7 @@ def test_face_sixty_degree_tilt_is_coin_flip():
     f = VisibleFeature("face", 1, Point2(1, 0), Point2(1, 0.1), 1.0,
                        math.pi / 2.0 - math.radians(60.0),
                        math.radians(10.0), -0.05, 0.05)
-    q = p.independent_return_probability(f)
+    q = independent_return_probability(p, f)
     assert q == pytest.approx(0.5, abs=0.005)
 
 
@@ -432,11 +433,11 @@ def test_corner_at_one_meter_is_coin_flip():
     p = SonarParams()
     f = VisibleFeature("corner", 1, Point2(1, 0), Point2(1, 0), 1.0, 0.0,
                        0.0, 0.0, 0.0)
-    assert p.independent_return_probability(f) == pytest.approx(0.5,
+    assert independent_return_probability(p, f) == pytest.approx(0.5,
                                                                 abs=1e-12)
     far = VisibleFeature("corner", 1, Point2(3, 0), Point2(3, 0), 3.0, 0.0,
                          0.0, 0.0, 0.0)
-    assert p.independent_return_probability(far) < 0.2
+    assert independent_return_probability(p, far) < 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -982,6 +983,27 @@ def test_sonar_features_match_a_sweep_over_every_live_edge():
             assert sonar_features(o, col, p) == want
             checked += bool(want)
     assert checked > 100, "most cones must see something"
+
+
+def test_one_cone_sonar_features_match_the_scalar_bit_for_bit(rooms_log):
+    # The package's sonar_features, one cone through the batched sweep, gives
+    # the scalar features of each ping in the same order, with the same
+    # coordinates and exclusive return probabilities.
+    cfg = RunConfig()
+    col = make_world(WorldSpec("rooms"), cell_size=cfg.index_cell_size)
+    sp = cfg.sonar_params()
+    seen = 0
+    for o in rooms_log.sonars:
+        f, r = prfmap.sensors.sonar_features(o, col, sp)
+        want = sonar_features(o, col, sp)
+        assert (f.c == 0).all()
+        assert f.kind.tolist() == [int(w.kind == "corner") for w, _, _ in want]
+        assert [_hexes(v) for v in (f.depth, f.proj, f.subt, f.alo, f.ahi, r)] == [
+            _hexes(getattr(w, k) for w, _, _ in want)
+            for k in ("depth", "projection_angle", "subtended_angle", "angle_lo", "angle_hi")
+        ] + [_hexes(rf for _, _, rf in want)]
+        seen += bool(want)
+    assert seen > 1_500
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import prfmap.sensors
 from prfmap.cli import main
 from prfmap.coloring import BLACK, WHITE, Coloring
 from prfmap.geometry import GridSpec, Point2, Rect
@@ -20,19 +21,20 @@ from prfmap.sim import (
     SonarRingSpec,
     TrajectorySpec,
     WorldSpec,
+    _draw_sonar_obs,
     cell_centers,
     classification_accuracy,
     make_world,
     near_edge_mask,
     rooms_trajectory,
-    simulate_laser_beam,
     simulate_laser_scan,
     simulate_point_grid,
-    simulate_sonar_ping,
+    simulate_sonar_ring,
     simulate_trajectory,
     truth_raster,
     world_trajectories,
 )
+from reference import simulate_laser_beam, simulate_sonar_ping
 
 
 def norm_cdf(z: float) -> float:
@@ -138,6 +140,9 @@ def test_laser_sim_rejects_pose_in_occupied_space():
     with pytest.raises(ValueError, match="occupied"):
         simulate_laser_beam(col, 2.1, 1.5, 0.0, 0.0, LaserScanSpec(),
                             LaserParams(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="occupied"):
+        simulate_laser_scan(col, 2.1, 1.5, 0.0, LaserScanSpec(), LaserParams(),
+                            np.random.default_rng(0))
 
 
 def test_sonar_sim_rejects_pose_in_occupied_space():
@@ -145,6 +150,9 @@ def test_sonar_sim_rejects_pose_in_occupied_space():
     with pytest.raises(ValueError, match="occupied"):
         simulate_sonar_ping(col, 2.1, 1.5, 0.0, 0.0, SonarRingSpec(),
                             SonarParams(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="occupied"):
+        simulate_sonar_ring(col, 2.1, 1.5, 0.0, SonarRingSpec(), SonarParams(),
+                            np.random.default_rng(0))
 
 
 def test_corridor_simulation_log_is_pinned(tmp_path):
@@ -172,9 +180,36 @@ def test_laser_scan_matches_beam_by_beam_simulation():
     assert a.random() == b.random()
 
 
+def test_sonar_ring_matches_ping_by_ping_simulation():
+    # One batched sweep per ring, then the draws in bearing order: the same
+    # readings and random stream as one reference ping (the scalar sweep of
+    # its cone) per bearing.
+    col = make_world(WorldSpec("rooms"))
+    spec = SonarRingSpec()
+    params = SonarParams()
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for x, y, heading in ((1.0, 3.6, 0.0), (2.95, 1.5, -1.2), (4.45, 4.9, 2.0),
+                          (9.3, 0.3, math.pi), (0.25, 0.25, 0.7)):
+        ring = simulate_sonar_ring(col, x, y, heading, spec, params, a)
+        pings = [simulate_sonar_ping(col, x, y, heading, bearing, spec, params, b)
+                 for bearing in spec.bearings()]
+        assert ring == pings
+    assert a.random() == b.random()
+
+
+def test_rooms_simulation_sweeps_each_ring_once(tmp_path, monkeypatch):
+    # 168 poses of 16 pings: one visibility_sweep call per pose.
+    calls = []
+    sweep = prfmap.sensors.visibility_sweep
+    monkeypatch.setattr(prfmap.sensors, "visibility_sweep",
+                        lambda cones, idx, col: calls.append(len(idx)) or sweep(cones, idx, col))
+    assert main(["simulate", "--world", "rooms", "--out", str(tmp_path / "sim")]) == 0
+    assert calls == [16] * 168
+
+
 def test_rooms_simulation_log_is_pinned(tmp_path):
-    # The rooms log's ranges come from sonar_features over the true walls; a
-    # change to the sweep, the trajectory or the random stream changes this
+    # The rooms log's ranges come from visibility_sweep over the true walls;
+    # a change to the sweep, the trajectory or the random stream changes this
     # digest.
     assert main(["simulate", "--world", "rooms", "--out", str(tmp_path / "sim")]) == 0
     text = (tmp_path / "sim.log").read_bytes()
@@ -215,15 +250,16 @@ def test_sonar_readings_match_mixture_cdf():
     params = SonarParams()
     probe = SonarObs(1.0, 1.5, 0.0, 0.0, spec.half_angle,
                      spec.max_range, spec.max_range, True)
-    triples = sonar_features(probe, col, params)
-    assert len(triples) == 1 and triples[0][0].kind == "face"
-    q = triples[0][2]
-    depth = triples[0][0].depth
+    # one sweep of the cone, then 20,000 draws from its features
+    f, r = sonar_features(probe, col, params)
+    assert f.kind.tolist() == [0]
+    q = float(r[0])
+    depth = float(f.depth[0])
     assert abs(depth - 1.0) < 1e-9
 
     rng = np.random.default_rng(45)
     n = 20_000
-    obs = [simulate_sonar_ping(col, 1.0, 1.5, 0.0, 0.0, spec, params, rng)
+    obs = [_draw_sonar_obs(1.0, 1.5, 0.0, 0.0, [depth], [q], spec, params, rng)
            for _ in range(n)]
     flags = np.array([o.is_max_range for o in obs])
     ranges = np.array([o.range for o in obs])
